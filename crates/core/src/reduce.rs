@@ -20,6 +20,14 @@
 //!    ascending chunk-index order — a left fold over the grid, never a
 //!    race-ordered tree.
 //!
+//! The grid cuts the *accumulator*, not the walk. Index recovery
+//! follows §V: a schedule chunk (a run of adjacent grid chunks)
+//! recovers **one** anchor at its first grid chunk and keeps one
+//! [`RowWalker`] going across every later grid seam, where it pushes
+//! the partial and starts a fresh `identity()` (`Recovery::Naive`, the
+//! ablation, still recovers every point). Partials, token polls and
+//! `reduce.chunk` spans stay per grid chunk.
+//!
 //! With an exact accumulator (integer, wrapping arithmetic) the result
 //! is additionally bit-identical to the *sequential* fold whenever the
 //! reducer satisfies the homomorphism law on [`Reducer`]. Floating-
@@ -299,8 +307,8 @@ where
         schedule,
         ctl,
         &PlainJoiner(reducer),
-        |scratch, tid, s, e, acc| {
-            accumulate_chunk(collapsed, scratch, recovery, tid, s, e, |tid, p| {
+        |scratch, tid, walk, s, e, acc| {
+            accumulate_chunk(collapsed, scratch, recovery, tid, walk, s, e, |p| {
                 reducer.accum(tid, p, acc)
             })
         },
@@ -312,9 +320,8 @@ where
 /// carries its [`NestPosition`], derived from the row walker's carry
 /// depths exactly like
 /// [`run_collapsed_guarded`](crate::imperfect::run_collapsed_guarded).
-/// All recovery modes anchor once per grid chunk (the batched tuple
-/// materialization has no guard channel, so `Recovery::Batched`
-/// recovers its anchors through the default engine here).
+/// Only a walk's anchor pays the `NestPosition::of` scan; every
+/// recovery mode anchors through [`recover_chunk_anchor`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_reduce_guarded_window<A, R>(
     pool: &ThreadPool,
@@ -331,7 +338,6 @@ where
     R: GuardedReducer<A>,
 {
     let nest = collapsed.nest();
-    let d = collapsed.depth();
     run_reduce_grid(
         pool,
         collapsed,
@@ -340,22 +346,19 @@ where
         schedule,
         ctl,
         &GuardedJoiner(reducer),
-        |scratch, tid, s, e, acc| {
-            if d == 0 {
+        |scratch, tid, walk, s, e, acc| {
+            if collapsed.depth() == 0 {
                 for _ in s..e {
                     reducer.accum(tid, &[], NestPosition::from_parts(0, 0, 0), acc);
                 }
                 return;
             }
-            let mut point = [0i64; MAX_DEPTH];
-            let point = &mut point[..d];
-            recover_chunk_anchor(collapsed, scratch, recovery, tid, s, point);
-            let mut first_pos = Some(NestPosition::of(nest, point));
-            let mut walker = RowWalker::anchor(nest, point);
+            let (walker, anchored) = seam_walker(walk, collapsed, scratch, recovery, tid, s);
+            let mut first_pos = anchored.then(|| NestPosition::of(nest, walker.point()));
             let mut remaining = e - s;
             while remaining > 0 {
                 let seg = walker.next_segment(remaining);
-                run_guarded_segment(&mut walker, &seg, first_pos.take(), &mut |p, pos| {
+                run_guarded_segment(walker, &seg, first_pos.take(), &mut |p, pos| {
                     reducer.accum(tid, p, pos, acc)
                 });
                 remaining -= seg.len;
@@ -367,13 +370,18 @@ where
 
 /// Shared grid machinery behind the plain and guarded reductions:
 /// distributes window-relative grid-chunk indices under `schedule`,
-/// folds each chunk with `fold_chunk(scratch, tid, s, e, &mut acc)`
-/// into per-worker [`WorkerLocal`] partial lists, and joins the
+/// folds each chunk with `fold_chunk(scratch, tid, walk, s, e, &mut
+/// acc)` into per-worker [`WorkerLocal`] partial lists, and joins the
 /// contiguous prefix in fixed chunk order after the pool joins.
+///
+/// `walk` is one row walk per schedule chunk: the grid chunks of a
+/// schedule chunk are adjacent, so the first one recovers the anchor
+/// (see [`seam_walker`]) and every later one continues the same walk
+/// across the seam. The grid only cuts the accumulator.
 #[allow(clippy::too_many_arguments)]
-fn run_reduce_grid<A, J, FoldChunk>(
+fn run_reduce_grid<'c, A, J, FoldChunk>(
     pool: &ThreadPool,
-    collapsed: &Collapsed,
+    collapsed: &'c Collapsed,
     base: u64,
     count: u64,
     schedule: Schedule,
@@ -385,7 +393,14 @@ fn run_reduce_grid<A, J, FoldChunk>(
 where
     A: Send,
     J: Joiner<A>,
-    FoldChunk: Fn(Option<&WorkerLocal<ExecScratch<'_>>>, usize, u64, u64, &mut A) + Sync,
+    FoldChunk: Fn(
+            Option<&WorkerLocal<ExecScratch<'_>>>,
+            usize,
+            &mut Option<RowWalker<'c>>,
+            u64,
+            u64,
+            &mut A,
+        ) + Sync,
 {
     let total = total_points(collapsed);
     assert!(
@@ -426,6 +441,7 @@ where
         }))
     };
     pool.parallel_for(nchunks, schedule, &|tid, ws, we| {
+        let mut walk = None;
         for w in ws..we {
             // The token is polled once per grid chunk: a chunk either
             // folds whole or not at all, so every produced partial is
@@ -444,7 +460,7 @@ where
             // `trace_smoke` asserts against the export.
             let _chunk = crate::obs::span("reduce", "reduce.chunk");
             let mut acc = joiner.identity();
-            fold_chunk(scratch.as_ref(), tid, s, e, &mut acc);
+            fold_chunk(scratch.as_ref(), tid, &mut walk, s, e, &mut acc);
             partials.with(tid, |list| list.push((w, acc, e - s)));
         }
     });
@@ -496,93 +512,72 @@ where
 }
 
 /// Folds the rank window `s+1 ..= e` (0-based offsets `s..e`) of one
-/// grid chunk, recovering indices per `recovery` exactly like
-/// `run_collapsed`'s chunk bodies: once-per-chunk anchor + row
-/// segments for the cached modes, per-point recovery for the Naive
-/// ablation, lane-parallel batch anchors + tuple fills for Batched.
-fn accumulate_chunk<F>(
-    collapsed: &Collapsed,
+/// grid chunk: per-point recovery for the Naive ablation, otherwise
+/// the schedule chunk's seam-crossing row walk (`walk`), whose one
+/// anchor every other mode — `Batched` included — recovers through
+/// [`recover_chunk_anchor`].
+#[allow(clippy::too_many_arguments)]
+fn accumulate_chunk<'c, F>(
+    collapsed: &'c Collapsed,
     scratch: Option<&WorkerLocal<ExecScratch<'_>>>,
     recovery: Recovery,
     tid: usize,
+    walk: &mut Option<RowWalker<'c>>,
     s: u64,
     e: u64,
     mut body: F,
 ) where
-    F: FnMut(usize, &[i64]),
+    F: FnMut(&[i64]),
 {
     debug_assert!(s < e);
     let d = collapsed.depth();
-    if let Recovery::Batched(vlength) = recovery {
-        assert!(
-            vlength >= 1,
-            "Recovery::Batched vector length must be ≥ 1 (validate with Recovery::batched)"
-        );
-    }
     let mut point = [0i64; MAX_DEPTH];
     let point = &mut point[..d];
     if d == 0 {
         for _ in s..e {
-            body(tid, point);
+            body(point);
         }
         return;
     }
-    match recovery {
-        Recovery::Naive => {
-            let scratch = scratch.expect("cached modes hold scratch");
-            scratch.with(tid, |sc| {
-                for pc in s..e {
-                    sc.unranker.unrank_into((pc + 1) as i128, point);
-                    body(tid, point);
-                }
-            });
-        }
-        Recovery::OncePerChunk
-        | Recovery::BinarySearch
-        | Recovery::ClosedForm
-        | Recovery::Reference => {
-            recover_chunk_anchor(collapsed, scratch, recovery, tid, s, point);
-            let mut walker = RowWalker::anchor(collapsed.nest(), point);
-            let mut remaining = e - s;
-            while remaining > 0 {
-                let seg = walker.next_segment(remaining);
-                walker.for_each(&seg, |p| body(tid, p));
-                remaining -= seg.len;
+    if recovery == Recovery::Naive {
+        let scratch = scratch.expect("cached modes hold scratch");
+        scratch.with(tid, |sc| {
+            for pc in s..e {
+                sc.unranker.unrank_into((pc + 1) as i128, point);
+                body(point);
             }
-        }
-        Recovery::Batched(vlength) => {
-            let scratch = scratch.expect("cached modes hold scratch");
-            let nest = collapsed.nest();
-            scratch.with(tid, |sc| {
-                let span = (e - s) as usize;
-                let nbatches = span.div_ceil(vlength);
-                sc.anchors.resize(nbatches * d, 0);
-                sc.unranker.unrank_batch_into(
-                    (s + 1) as i128,
-                    vlength as i128,
-                    nbatches,
-                    &mut sc.anchors,
-                );
-                sc.tuples.resize(vlength * d, 0);
-                let mut walker = RowWalker::anchor(nest, &sc.anchors[..d]);
-                let mut remaining = span;
-                for anchor in sc.anchors.chunks_exact(d) {
-                    let batch = vlength.min(remaining);
-                    walker.reanchor(anchor);
-                    let mut filled = 0usize;
-                    while filled < batch {
-                        let seg = walker.next_segment((batch - filled) as u64);
-                        walker.fill(&seg, &mut sc.tuples[filled * d..]);
-                        filled += seg.len as usize;
-                    }
-                    for tuple in sc.tuples[..batch * d].chunks_exact(d) {
-                        body(tid, tuple);
-                    }
-                    remaining -= batch;
-                }
-            });
-        }
+        });
+        return;
     }
+    let (walker, _) = seam_walker(walk, collapsed, scratch, recovery, tid, s);
+    let mut remaining = e - s;
+    while remaining > 0 {
+        let seg = walker.next_segment(remaining);
+        walker.for_each(&seg, &mut body);
+        remaining -= seg.len;
+    }
+}
+
+/// The walker a schedule chunk folds its grid chunks with: the first
+/// call recovers the anchor at offset `s` and reports `true`; later
+/// calls return the same walker, already standing at `s` because the
+/// grid chunks before it walked up to the seam.
+fn seam_walker<'w, 'c>(
+    walk: &'w mut Option<RowWalker<'c>>,
+    collapsed: &'c Collapsed,
+    scratch: Option<&WorkerLocal<ExecScratch<'_>>>,
+    recovery: Recovery,
+    tid: usize,
+    s: u64,
+) -> (&'w mut RowWalker<'c>, bool) {
+    let anchored = walk.is_none();
+    let walker = walk.get_or_insert_with(|| {
+        let mut point = [0i64; MAX_DEPTH];
+        let point = &mut point[..collapsed.depth()];
+        recover_chunk_anchor(collapsed, scratch, recovery, tid, s, point);
+        RowWalker::anchor(collapsed.nest(), point)
+    });
+    (walker, anchored)
 }
 
 /// The segmented-scan core behind `Runner::scan`: for every point of

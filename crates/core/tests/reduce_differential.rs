@@ -6,14 +6,21 @@
 //! contiguous prefix, and joining it with the resumed remainder must
 //! reproduce the uninterrupted value.
 //!
+//! `Runner::reduce_guarded` is held to the same bar against the
+//! sequential guarded fold, with each point's [`NestPosition`] folded
+//! into its map. Fixed-size domains large enough for grid chunks of
+//! several points check that reductions recover one anchor per
+//! schedule chunk, and that a cancel between grid chunks cut mid-row
+//! still resumes to the exact whole.
+//!
 //! The accumulator is an affine map `x ↦ a·x + b` over wrapping u64
 //! composed left-to-right — associative but **non-commutative**, so a
 //! partial joined out of order, twice, or not at all shifts the result
 //! (a plain wrapping sum would hide ordering bugs).
 
 use nrl_core::{
-    reducer, run_seq, CollapseSpec, NestSpec, Recovery, ReduceCounters, RunOutcome, RunToken,
-    Schedule, ThreadPool,
+    guarded_reducer, reducer, run_seq, run_seq_guarded, CollapseSpec, Collapsed, NestPosition,
+    NestSpec, Recovery, ReduceCounters, RunOutcome, RunToken, Schedule, ThreadPool,
 };
 use nrl_polyhedra::Space;
 use proptest::prelude::*;
@@ -56,6 +63,45 @@ fn compose(left: Aff, right: Aff) -> Aff {
         right.0.wrapping_mul(left.0),
         right.0.wrapping_mul(left.1).wrapping_add(right.1),
     )
+}
+
+/// A guarded point as an affine map: the position's guard boundaries
+/// are hashed in, so a wrong `NestPosition` shifts the result too.
+fn guarded_aff(point: &[i64], pos: NestPosition) -> Aff {
+    let (a, b) = point_aff(point);
+    let g = (pos.pre_from() as u64) << 8 | pos.post_from() as u64;
+    (a ^ g.wrapping_mul(0x9E37_79B9_7F4A_7C16), b.wrapping_add(g))
+}
+
+/// `reduce_guarded` under every schedule × recovery × pool size equals
+/// the `run_seq_guarded` fold of [`guarded_aff`] bit-exactly.
+fn assert_guarded_reduction_matches_seq(nest: &NestSpec, params: &[i64]) {
+    let collapsed = CollapseSpec::new(nest).unwrap().bind(params).unwrap();
+    let mut expect = AFF_ID;
+    run_seq_guarded(&nest.bind(params), |p, pos| {
+        expect = compose(expect, guarded_aff(p, pos))
+    });
+    let red = guarded_reducer(
+        || AFF_ID,
+        |_tid, p: &[i64], pos, acc: &mut Aff| *acc = compose(*acc, guarded_aff(p, pos)),
+        compose,
+    );
+    for &nthreads in &POOLS {
+        let pool = ThreadPool::new(nthreads);
+        for schedule in SCHEDULES {
+            for recovery in RECOVERIES {
+                let got = collapsed
+                    .runner(&pool)
+                    .schedule(schedule)
+                    .recovery(recovery)
+                    .reduce_guarded(&red);
+                let case = format!("{nthreads} threads under {schedule:?}/{recovery:?}");
+                assert_eq!(got.outcome, RunOutcome::Completed, "{case}");
+                assert_eq!(got.value, expect, "{case}");
+                assert_eq!(got.counters.joined, got.counters.chunks, "{case}");
+            }
+        }
+    }
 }
 
 fn aff_reducer() -> impl nrl_core::Reducer<Aff> {
@@ -127,6 +173,14 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The guarded reduction equals the sequential guarded fold
+    /// bit-exactly: positions derived from the walk's carry depths
+    /// (across grid seams too) match the per-point scan.
+    #[test]
+    fn guarded_reduction_equals_sequential_guarded_fold((nest, params) in arb_case()) {
+        assert_guarded_reduction_matches_seq(&nest, &params);
     }
 
     /// A cancelled reduction returns the joined contiguous prefix and
@@ -314,4 +368,123 @@ fn empty_window_reduces_to_identity() {
             ..ReduceCounters::default()
         }
     );
+}
+
+/// The proptest domains stay under 512 points (one point per grid
+/// chunk); these have grid chunks of 27 and 8 points, so the guarded
+/// walk crosses seams inside rows.
+#[test]
+fn guarded_reduction_crosses_multi_point_grid_seams() {
+    assert_guarded_reduction_matches_seq(&NestSpec::correlation(), &[120]);
+    assert_guarded_reduction_matches_seq(&NestSpec::figure6(), &[24]);
+}
+
+/// Level recoveries (one per level an anchor recovers) since `before`.
+fn level_recoveries(collapsed: &Collapsed, before: nrl_core::RecoveryStats) -> u64 {
+    let after = collapsed.stats();
+    (after.closed_form_exact + after.corrected + after.binary_search + after.linear_exact)
+        - (before.closed_form_exact + before.corrected + before.binary_search + before.linear_exact)
+}
+
+/// A reduction recovers one anchor per schedule chunk, not one per grid
+/// chunk: under `Static` each pool thread gets one schedule chunk, so
+/// the level recoveries stay within depth × threads however many grid
+/// chunks (288 here) the partials are cut into.
+#[test]
+fn reduce_recovers_one_anchor_per_schedule_chunk() {
+    let red = aff_reducer();
+    for nthreads in [1usize, 2] {
+        let collapsed = CollapseSpec::new(&NestSpec::figure6())
+            .unwrap()
+            .bind(&[24])
+            .unwrap();
+        let pool = ThreadPool::new(nthreads);
+        let before = collapsed.stats();
+        let got = collapsed
+            .runner(&pool)
+            .schedule(Schedule::Static)
+            .reduce(&red);
+        assert!(got.outcome.is_completed());
+        assert_eq!(got.counters.chunks, 288);
+        let recoveries = level_recoveries(&collapsed, before);
+        let bound = (collapsed.depth() * nthreads) as u64;
+        assert!(
+            recoveries <= bound,
+            "{nthreads} threads: {recoveries} level recoveries > {bound}"
+        );
+    }
+}
+
+/// Cancel and resume on domains whose grid chunks hold several points
+/// (`grain > 1`) and whose grid seams fall mid-row: the stopped run's
+/// `points_done` is grid-aligned, its value is the prefix fold, and
+/// `join(prefix, resumed)` equals the uninterrupted value.
+#[test]
+fn cancel_and_resume_across_mid_row_grid_seams() {
+    let red = aff_reducer();
+    for (nest, n) in [(NestSpec::correlation(), 120), (NestSpec::figure6(), 24)] {
+        let collapsed = CollapseSpec::new(&nest).unwrap().bind(&[n]).unwrap();
+        let total = collapsed.total() as u64;
+        let mut seq = Vec::with_capacity(total as usize);
+        run_seq(&nest.bind(&[n]), |p| seq.push(point_aff(p)));
+        let grain = nrl_core::reduce_grain(total);
+        assert!(grain > 1, "N={n}: grain {grain}");
+        // Some grid seam splits a row: the points either side of it
+        // share their outer prefix.
+        let d = collapsed.depth();
+        assert!(
+            (1..total / grain).any(|g| {
+                let at = (g * grain) as i128;
+                collapsed.unrank(at)[..d - 1] == collapsed.unrank(at + 1)[..d - 1]
+            }),
+            "N={n}: no mid-row grid seam"
+        );
+        for &nthreads in &POOLS {
+            let pool = ThreadPool::new(nthreads);
+            for schedule in [Schedule::Dynamic(5), Schedule::Static] {
+                for recovery in [Recovery::OncePerChunk, Recovery::Batched(8)] {
+                    let runner = collapsed
+                        .runner(&pool)
+                        .schedule(schedule)
+                        .recovery(recovery);
+                    let full = runner.reduce(&red);
+                    for cancel_at in [1, grain / 2, grain + 3, total / 3, total - grain] {
+                        let token = RunToken::new();
+                        let calls = AtomicU64::new(0);
+                        let cancelling = reducer(
+                            || AFF_ID,
+                            |_tid, p: &[i64], acc: &mut Aff| {
+                                if calls.fetch_add(1, Ordering::Relaxed) + 1 == cancel_at {
+                                    token.cancel();
+                                }
+                                *acc = compose(*acc, point_aff(p));
+                            },
+                            compose,
+                        );
+                        let stopped = runner.token(&token).reduce(&cancelling);
+                        let case = format!(
+                            "N={n} {nthreads} threads {schedule:?}/{recovery:?} cancel at {cancel_at}"
+                        );
+                        let done = match stopped.outcome {
+                            RunOutcome::Cancelled { points_done } => points_done,
+                            RunOutcome::Completed => {
+                                assert_eq!(stopped.value, full.value, "{case}");
+                                continue;
+                            }
+                            other => panic!("{case}: unexpected {other:?}"),
+                        };
+                        assert_eq!(done % grain, 0, "{case}: points_done {done}");
+                        assert_eq!(done, stopped.counters.joined * grain, "{case}");
+                        let prefix = seq[..done as usize]
+                            .iter()
+                            .fold(AFF_ID, |a, &p| compose(a, p));
+                        assert_eq!(stopped.value, prefix, "{case}");
+                        let resumed = runner.resume(done).reduce(&red);
+                        assert_eq!(resumed.outcome, RunOutcome::Completed, "{case}");
+                        assert_eq!(compose(stopped.value, resumed.value), full.value, "{case}");
+                    }
+                }
+            }
+        }
+    }
 }
