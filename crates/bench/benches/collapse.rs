@@ -1,7 +1,6 @@
 //! Criterion: end-to-end collapsed execution across recovery
-//! strategies (the §V ablation, microbenchmark form), the lane-
-//! parallel batched engine (§VI.A), and the warp executor (§VI.B)
-//! whose anchors come from the same batched recovery.
+//! strategies (the §V ablation, microbenchmark form) and the warp
+//! executor (§VI.B).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nrl_core::{CollapseSpec, ParamPlan, Recovery, RunToken, Schedule, ThreadPool};
@@ -22,9 +21,6 @@ fn bench_recoveries(c: &mut Criterion) {
     group.sample_size(20);
     for (label, recovery) in [
         ("once_per_chunk", Recovery::OncePerChunk),
-        ("batched8", Recovery::Batched(8)),
-        ("batched64", Recovery::Batched(64)),
-        ("batched256", Recovery::Batched(256)),
         ("naive", Recovery::Naive),
         ("binary_search", Recovery::BinarySearch),
         ("reference", Recovery::Reference),
@@ -54,7 +50,7 @@ fn bench_recoveries(c: &mut Criterion) {
     group.finish();
     // Recovery-bound regime: small dynamic chunks force one recovery
     // per 32 iterations, so the compiled-vs-reference engine difference
-    // shows up end-to-end in `run_collapsed` (not just in microbenches).
+    // shows up end-to-end in `Runner::run` (not just in microbenches).
     let mut group = c.benchmark_group("collapsed_recovery_bound");
     group.sample_size(20);
     for (label, recovery) in [
@@ -111,69 +107,20 @@ fn bench_cancellation_overhead(c: &mut Criterion) {
     let token = RunToken::new();
     let mut group = c.benchmark_group("cancellation_overhead");
     group.sample_size(20);
-    for (label, recovery) in [
-        ("once_per_chunk", Recovery::OncePerChunk),
-        ("batched64", Recovery::Batched(64)),
-    ] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(label),
-            &recovery,
-            |b, &recovery| {
-                b.iter(|| {
-                    collapsed
-                        .runner(&pool)
-                        .recovery(recovery)
-                        .token(&token)
-                        .run(|_t, p| {
-                            sink.fetch_add(p[1] as u64, Ordering::Relaxed);
-                        })
-                });
-            },
-        );
-    }
+    group.bench_function("once_per_chunk", |b| {
+        b.iter(|| {
+            collapsed.runner(&pool).token(&token).run(|_t, p| {
+                sink.fetch_add(p[1] as u64, Ordering::Relaxed);
+            })
+        });
+    });
     group.finish();
     black_box(sink.load(Ordering::Relaxed));
 }
 
-fn bench_batch_anchors(c: &mut Criterion) {
-    // The pure anchor-recovery cost the batched executor pays per
-    // chunk: 64 anchors at stride 64 (one Static-schedule chunk's
-    // worth of 64-wide batches), lane engine vs. one scalar
-    // `unrank_into` per anchor through the same cache-carrying
-    // unranker. `lane` beating `scalar` is the engine's microbench
-    // proof; both appear in `BENCH_collapse.json` for the CI gate.
-    let nest = NestSpec::correlation();
-    let spec = CollapseSpec::new(&nest).unwrap();
-    let collapsed = spec.bind(&[800]).unwrap();
-    let anchors = 64usize;
-    let stride = 64i128;
-    let pc0 = collapsed.total() / 3 + 1;
-    assert!(pc0 + (anchors as i128 - 1) * stride <= collapsed.total());
-    let mut group = c.benchmark_group("batch_anchors");
-    group.bench_function("lane64_stride64", |b| {
-        let mut unranker = collapsed.unranker();
-        let mut out = vec![0i64; anchors * 2];
-        b.iter(|| {
-            unranker.unrank_batch_into(black_box(pc0), stride, anchors, &mut out);
-            black_box(out[0])
-        });
-    });
-    group.bench_function("scalar64_stride64", |b| {
-        let mut unranker = collapsed.unranker();
-        let mut point = [0i64; 2];
-        b.iter(|| {
-            for l in 0..anchors as i128 {
-                unranker.unrank_into(black_box(pc0) + l * stride, &mut point);
-            }
-            black_box(point[0])
-        });
-    });
-    group.finish();
-}
-
 fn bench_warp_sim(c: &mut Criterion) {
-    // §VI.B lane executor end-to-end: thread-batched anchor recovery +
-    // strided odometer walks.
+    // §VI.B lane executor end-to-end: one scalar anchor recovery per
+    // lane + strided odometer walks.
     let nest = NestSpec::correlation();
     let spec = CollapseSpec::new(&nest).unwrap();
     let collapsed = spec.bind(&[800]).unwrap();
@@ -210,11 +157,11 @@ fn bench_spec_construction(c: &mut Criterion) {
 fn bench_guarded(c: &mut Criterion) {
     // The guarded-nest executor (imperfect correlation: a level-0
     // prologue/epilogue pair sunk into the innermost loop). `segmented`
-    // and `batched64` run the row-segmented executor — guards derived
-    // from odometer carry depths, one `NestPosition::of` per chunk —
-    // while `per_point_scan` reconstructs the pre-segmentation scheme
-    // (an O(depth) bounds rescan at every iteration on top of
-    // `run_collapsed`) as the ablation baseline. The acceptance target:
+    // runs the row-segmented executor — guards derived from odometer
+    // carry depths, one `NestPosition::of` per chunk — while
+    // `per_point_scan` reconstructs the pre-segmentation scheme (an
+    // O(depth) bounds rescan at every iteration on top of
+    // `Runner::run`) as the ablation baseline. The acceptance target:
     // `segmented` within 10% of the unguarded
     // `collapsed_recovery/once_per_chunk` id.
     let nest = NestSpec::correlation();
@@ -240,14 +187,6 @@ fn bench_guarded(c: &mut Criterion) {
         b.iter(|| {
             collapsed
                 .runner(&pool)
-                .run_guarded(|_t, p, pos| guarded_body(p, pos))
-        });
-    });
-    group.bench_function("batched64", |b| {
-        b.iter(|| {
-            collapsed
-                .runner(&pool)
-                .recovery(Recovery::Batched(64))
                 .run_guarded(|_t, p, pos| guarded_body(p, pos))
         });
     });
@@ -426,5 +365,5 @@ fn config() -> Criterion {
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500))
 }
-criterion_group! { name = benches; config = config(); targets = bench_recoveries, bench_cancellation_overhead, bench_batch_anchors, bench_warp_sim, bench_spec_construction, bench_guarded, bench_serve_overhead, bench_obs_overhead, bench_reduce, bench_plan }
+criterion_group! { name = benches; config = config(); targets = bench_recoveries, bench_cancellation_overhead, bench_warp_sim, bench_spec_construction, bench_guarded, bench_serve_overhead, bench_obs_overhead, bench_reduce, bench_plan }
 criterion_main!(benches);

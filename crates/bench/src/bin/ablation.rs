@@ -1,8 +1,8 @@
 //! **Ablation**: the design choices DESIGN.md calls out, measured.
 //!
-//! 1. Recovery strategy (§V/§VI.A): naive per-iteration roots vs.
-//!    once-per-chunk vs. batched vs. pure binary search — on a collapsed
-//!    loop with a trivial body, so recovery cost dominates.
+//! 1. Recovery strategy (§V): naive per-iteration roots vs.
+//!    once-per-chunk vs. pure binary search — on a collapsed loop with
+//!    a trivial body, so recovery cost dominates.
 //! 2. Chunk-size sweep for `schedule(static, chunk)` on the collapsed
 //!    correlation loop.
 //! 3. Warp-width sweep for the §VI.B scheme.
@@ -54,7 +54,6 @@ fn main() {
     let once = time_median(reps, 1, || collapsed.runner(&pool).run(body).report.wall());
     for (label, recovery) in [
         ("once-per-chunk (§V)", Recovery::OncePerChunk),
-        ("batched 64 (§VI.A)", Recovery::Batched(64)),
         ("naive (per-iteration roots)", Recovery::Naive),
         ("binary-search (exact-only)", Recovery::BinarySearch),
     ] {

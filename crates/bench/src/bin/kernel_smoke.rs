@@ -42,11 +42,11 @@ fn main() {
                 },
             ),
             (
-                "collapsed-lane-batched",
+                "collapsed-binary-search",
                 Mode::Collapsed {
                     pool: &pool,
                     schedule: Schedule::Dynamic(37),
-                    recovery: Recovery::batched(8).expect("non-zero vector length"),
+                    recovery: Recovery::BinarySearch,
                 },
             ),
             (
@@ -74,9 +74,9 @@ fn main() {
     }
     // Guarded (imperfect-nest) variants of correlation/figure6: the
     // row-segmented guarded executor — guards derived from odometer
-    // carry depths, batch anchors through `unrank_batch_into` — must
-    // reproduce the sequential guarded reference (`run_seq_guarded`)
-    // bit-exactly, across schedules that split rows mid-chunk.
+    // carry depths, one anchor per chunk — must reproduce the
+    // sequential guarded reference (`run_seq_guarded`) bit-exactly,
+    // across schedules that split rows mid-chunk.
     for mut kernel in guarded_kernels(0.08) {
         let name = kernel.info().name;
         kernel.execute(&Mode::Seq);
@@ -99,11 +99,11 @@ fn main() {
                 },
             ),
             (
-                "guarded-lane-batched",
+                "guarded-binsearch-chunk5",
                 Mode::Collapsed {
                     pool: &pool,
-                    schedule: Schedule::Dynamic(37),
-                    recovery: Recovery::batched(8).expect("non-zero vector length"),
+                    schedule: Schedule::StaticChunk(5),
+                    recovery: Recovery::BinarySearch,
                 },
             ),
         ];

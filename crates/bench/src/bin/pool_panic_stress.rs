@@ -59,7 +59,7 @@ fn main() {
     let recoveries = [
         Recovery::Naive,
         Recovery::OncePerChunk,
-        Recovery::Batched(8),
+        Recovery::BinarySearch,
     ];
     let pool = ThreadPool::new(THREADS);
     let mut bad = 0u64;

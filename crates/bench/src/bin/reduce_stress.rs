@@ -91,7 +91,7 @@ fn main() {
     let recoveries = [
         Recovery::Naive,
         Recovery::OncePerChunk,
-        Recovery::Batched(8),
+        Recovery::BinarySearch,
     ];
     let mut bad = 0u64;
     let mut state = 0x9E37_79B9u64;

@@ -571,16 +571,6 @@ impl Collapsed {
         self.unrank_into(pc, point);
         RowWalker::anchor(&self.nest, point)
     }
-
-    /// Allocating convenience wrapper around
-    /// [`Unranker::unrank_batch_into`]: the `count` tuples at ranks
-    /// `pc0, pc0+stride, …`, concatenated.
-    pub fn unrank_batch(&self, pc0: i128, stride: i128, count: usize) -> Vec<i64> {
-        let mut out = vec![0i64; count * self.depth];
-        self.unranker()
-            .unrank_batch_into(pc0, stride, count, &mut out);
-        out
-    }
 }
 
 /// Cached specialization of one level at one prefix.
@@ -653,89 +643,6 @@ impl Unranker<'_> {
             let spec = entry.spec.as_ref().expect("cache entry just filled");
             let engine = force.unwrap_or(level.engine);
             point[k] = level.recover_spec(spec, lb, ub, pc, &c.counters, engine);
-        }
-    }
-
-    /// Lane-parallel batched recovery (§VI.A / §VI.B): recovers the
-    /// `count` points at ranks `pc0, pc0+stride, pc0+2·stride, …`
-    /// directly from the flattened indices — no anchor-then-advance
-    /// walk — writing tuple `l` into `out[l·depth .. (l+1)·depth]`.
-    ///
-    /// Level by level, lanes whose outer prefixes coincide (ranks are
-    /// increasing, so equal prefixes form contiguous runs) share one
-    /// cached specialization and run the lane engine
-    /// (`BoundLevel::recover_lanes` in [`crate::unrank`]): exact linear
-    /// lanes solve in a branch-free fixed-stride loop, deeper-degree
-    /// lanes sweep forward from their predecessor in 8-wide Horner
-    /// blocks with the bind-time engine as fallback. This is exactly
-    /// the paper's GPU scheme — `stride` lanes of a warp each holding
-    /// one recovered anchor — and the batched executor's per-chunk
-    /// anchor recovery (`stride = vlength`).
-    ///
-    /// # Panics
-    /// Panics if `stride < 1`, `out.len() != count·depth`, or any
-    /// swept rank falls outside `1..=total`.
-    pub fn unrank_batch_into(&mut self, pc0: i128, stride: i128, count: usize, out: &mut [i64]) {
-        let c = self.collapsed;
-        let d = c.depth;
-        assert!(stride >= 1, "batch stride must be ≥ 1");
-        assert_eq!(out.len(), count * d, "out must hold count × depth indices");
-        if count == 0 || d == 0 {
-            return;
-        }
-        let last = pc0 + (count as i128 - 1) * stride;
-        assert!(
-            pc0 >= 1 && last <= c.total,
-            "batch ranks {pc0}..={last} outside 1..={}",
-            c.total
-        );
-        for k in 0..d {
-            let mut l = 0;
-            while l < count {
-                let base = l * d;
-                // Extent of the run sharing lane l's k-prefix.
-                let mut r = l + 1;
-                while r < count && out[r * d..r * d + k] == out[base..base + k] {
-                    r += 1;
-                }
-                let lb = c.nest.lower(k, &out[base..base + k]);
-                let ub = c.nest.upper(k, &out[base..base + k]);
-                if lb == ub {
-                    // Single-valued level: no probe reads the ladder, so
-                    // don't specialize (or touch the cache) for it.
-                    for lane in l..r {
-                        out[lane * d + k] = lb;
-                    }
-                    l = r;
-                    continue;
-                }
-                let level = &c.levels[k];
-                let entry = &mut self.cache[k];
-                let hit = entry.valid && entry.prefix[..k] == out[base..base + k];
-                if !hit {
-                    entry.spec = Some(level.specialize(&out[base..base + k]));
-                    entry.prefix[..k].copy_from_slice(&out[base..base + k]);
-                    entry.valid = true;
-                    c.counters.spec_cache_miss.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    c.counters.spec_cache_hit.fetch_add(1, Ordering::Relaxed);
-                }
-                // `SpecializedPoly` is plain `Copy` data: lift it out of
-                // the cache so the lane run can write `out` freely.
-                let spec = entry.spec.expect("cache entry just filled");
-                level.recover_lanes(
-                    &spec,
-                    lb,
-                    ub,
-                    pc0 + l as i128 * stride,
-                    stride,
-                    r - l,
-                    &mut out[base + k..],
-                    d,
-                    &c.counters,
-                );
-                l = r;
-            }
         }
     }
 
@@ -940,51 +847,6 @@ mod tests {
             stats.spec_cache_hit > stats.spec_cache_miss,
             "row-order ranking should mostly hit: {stats:?}"
         );
-    }
-
-    #[test]
-    fn batch_unrank_matches_scalar_across_widths_and_strides() {
-        for (nest, params) in [
-            (NestSpec::correlation(), vec![37i64]),
-            (NestSpec::figure6(), vec![11]),
-        ] {
-            let spec = CollapseSpec::new(&nest).unwrap();
-            let collapsed = spec.bind(&params).unwrap();
-            let d = nest.depth();
-            let total = collapsed.total();
-            let mut scalar = vec![0i64; d];
-            for count in [1usize, 3, 4, 8, 17] {
-                for stride in [1i128, 5, 64] {
-                    let mut pc0 = 1i128;
-                    while pc0 + (count as i128 - 1) * stride <= total {
-                        let batch = collapsed.unrank_batch(pc0, stride, count);
-                        for l in 0..count {
-                            collapsed.unrank_into(pc0 + l as i128 * stride, &mut scalar);
-                            assert_eq!(
-                                &batch[l * d..(l + 1) * d],
-                                &scalar[..],
-                                "count={count} stride={stride} pc0={pc0} lane={l}"
-                            );
-                        }
-                        pc0 += 97;
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_unrank_rejects_bad_shapes() {
-        let spec = CollapseSpec::new(&NestSpec::correlation()).unwrap();
-        let collapsed = spec.bind(&[10]).unwrap();
-        // Zero stride.
-        assert!(std::panic::catch_unwind(|| collapsed.unrank_batch(1, 0, 2)).is_err());
-        // Last rank past the total.
-        assert!(
-            std::panic::catch_unwind(|| collapsed.unrank_batch(collapsed.total(), 1, 2)).is_err()
-        );
-        // Empty batches are fine.
-        assert!(collapsed.unrank_batch(1, 1, 0).is_empty());
     }
 
     #[test]

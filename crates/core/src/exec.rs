@@ -7,12 +7,12 @@
 //! * [`run_outer_parallel`] — OpenMP-style parallelization of the
 //!   *outermost* loop only (`schedule(static)` / `schedule(dynamic)`)
 //!   — the pre-collapse state of the art the paper compares against,
-//! * [`run_collapsed`] — the collapsed single loop under any schedule,
-//!   with the recovery-cost strategies of §V/§VI.A selected by
-//!   [`Recovery`],
-//! * [`run_warp_sim`] — the §VI.B GPU scheme: `W` lanes execute
-//!   interleaved ranks, each lane recovering once and then advancing by
-//!   `W` odometer steps.
+//! * [`Runner::run`](crate::Runner::run) — the collapsed single loop
+//!   under any schedule, recovering one anchor per chunk (§V) through
+//!   the engine [`Recovery`] selects,
+//! * [`Runner::warp`](crate::Runner::warp) — the §VI.B GPU scheme: `W`
+//!   lanes execute interleaved ranks, each lane recovering once and then
+//!   advancing by `W` odometer steps.
 
 use crate::collapsed::{Collapsed, Unranker};
 use crate::rowwalk::RowWalker;
@@ -22,15 +22,14 @@ use nrl_parfor::{
     WorkerLocal,
 };
 use nrl_polyhedra::BoundNest;
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// How a collapsed executor recovers original indices inside a chunk
 /// (§V of the paper).
 ///
 /// All modes except [`Recovery::Reference`] recover through per-worker
-/// [`Unranker`] scratch slots, so the specialization caches survive
-/// chunk boundaries under dynamic and guided schedules too.
+/// [`Unranker`] slots, so the specialization caches survive chunk
+/// boundaries under dynamic and guided schedules too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Recovery {
     /// Costly recovery at *every* iteration (the paper's worst case,
@@ -40,18 +39,6 @@ pub enum Recovery {
     /// the paper's Fig. 4 / §V scheme, through the adaptive per-level
     /// engines.
     OncePerChunk,
-    /// §VI.A: lane-parallel batched recovery — all batch anchors of a
-    /// chunk are recovered directly from the flattened indices
-    /// `s+1, s+1+L, s+1+2L, …` in one [`Unranker::unrank_batch_into`]
-    /// call (no anchor-then-advance walk), then each batch of `L`
-    /// tuples is materialized into per-worker [`WorkerLocal`] scratch
-    /// by row-wise lane sweeps (prefix broadcast + innermost iota) and
-    /// the bodies run over the buffer (the
-    /// auto-vectorization-friendly layout).
-    ///
-    /// The vector length must be ≥ 1: use [`Recovery::batched`] to
-    /// validate at construction; executors panic on a zero length.
-    Batched(usize),
     /// Like [`Recovery::OncePerChunk`] but recovery uses the pure
     /// binary-search unranker (no floating point) — per-engine
     /// ablation mode.
@@ -67,83 +54,40 @@ pub enum Recovery {
     Reference,
 }
 
-/// Error from [`Recovery::batched`]: a batched recovery with zero
-/// vector length is meaningless (no tuples would ever be materialized),
-/// and the executors reject it rather than silently clamping to 1 as
-/// older revisions did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ZeroVectorLength;
-
-impl fmt::Display for ZeroVectorLength {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "batched recovery vector length must be ≥ 1")
-    }
-}
-
-impl std::error::Error for ZeroVectorLength {}
-
-impl Recovery {
-    /// Validated constructor for [`Recovery::Batched`]: rejects a zero
-    /// vector length at construction instead of letting it reach an
-    /// executor (which panics on it).
-    pub fn batched(vlength: usize) -> Result<Recovery, ZeroVectorLength> {
-        if vlength == 0 {
-            Err(ZeroVectorLength)
-        } else {
-            Ok(Recovery::Batched(vlength))
-        }
-    }
-}
-
-/// Per-worker executor scratch, one [`WorkerLocal`] slot per pool
-/// thread: the cache-carrying unranker every cached recovery mode
-/// recovers through, plus the batched-mode buffers — allocated once
-/// per loop and reused across every chunk (no per-chunk `vec!`).
-/// [`run_warp_sim`] shares the same design for its lane anchors.
-pub(crate) struct ExecScratch<'a> {
-    pub(crate) unranker: Unranker<'a>,
-    /// Batch-anchor tuples (`Recovery::Batched` chunk anchors, warp
-    /// lane anchors), `count × depth` flat.
-    pub(crate) anchors: Vec<i64>,
-    /// The tuple buffer the batched bodies run over, `vlength × depth`.
-    pub(crate) tuples: Vec<i64>,
-}
-
-impl<'a> ExecScratch<'a> {
-    pub(crate) fn new(collapsed: &'a Collapsed) -> Self {
-        ExecScratch {
-            unranker: collapsed.unranker(),
-            anchors: Vec::new(),
-            tuples: Vec::new(),
-        }
-    }
+/// Per-worker cache-carrying unrankers, one [`WorkerLocal`] slot per
+/// pool thread, created once per loop and reused across every chunk.
+/// `None` for the cacheless [`Recovery::Reference`] ablation.
+pub(crate) fn worker_unrankers<'c>(
+    pool: &ThreadPool,
+    collapsed: &'c Collapsed,
+    recovery: Recovery,
+) -> Option<WorkerLocal<Unranker<'c>>> {
+    (recovery != Recovery::Reference)
+        .then(|| WorkerLocal::new(pool.nthreads(), |_| collapsed.unranker()))
 }
 
 /// One costly recovery at a chunk's first rank, through the worker's
 /// cache-carrying unranker (or the reference engine for the cacheless
-/// ablation). Shared by [`run_collapsed`] and the guarded executor in
-/// [`crate::imperfect`], so the two cannot drift on how a recovery
-/// mode resolves its anchor.
+/// ablation). Shared by [`run_collapsed_window`], the guarded executor
+/// in [`crate::imperfect`] and the reductions, so they cannot drift on
+/// how a recovery mode resolves its anchor.
 pub(crate) fn recover_chunk_anchor(
     collapsed: &Collapsed,
-    scratch: Option<&WorkerLocal<ExecScratch<'_>>>,
+    unrankers: Option<&WorkerLocal<Unranker<'_>>>,
     recovery: Recovery,
     tid: usize,
     s: u64,
     point: &mut [i64],
 ) {
-    match recovery {
-        Recovery::Reference => collapsed.unrank_reference_into((s + 1) as i128, point),
-        Recovery::BinarySearch => scratch.expect("cached modes hold scratch").with(tid, |sc| {
-            sc.unranker.unrank_binary_into((s + 1) as i128, point)
-        }),
-        Recovery::ClosedForm => scratch.expect("cached modes hold scratch").with(tid, |sc| {
-            sc.unranker.unrank_closed_form_into((s + 1) as i128, point)
-        }),
-        _ => scratch
-            .expect("cached modes hold scratch")
-            .with(tid, |sc| sc.unranker.unrank_into((s + 1) as i128, point)),
-    }
+    let pc = (s + 1) as i128;
+    let Some(unrankers) = unrankers else {
+        return collapsed.unrank_reference_into(pc, point);
+    };
+    unrankers.with(tid, |u| match recovery {
+        Recovery::BinarySearch => u.unrank_binary_into(pc, point),
+        Recovery::ClosedForm => u.unrank_closed_form_into(pc, point),
+        _ => u.unrank_into(pc, point),
+    })
 }
 
 /// Shared control block for token-carrying runs: the token being
@@ -305,92 +249,12 @@ where
     ImbalanceReport::new(per_thread, report.wall())
 }
 
-/// Runs the collapsed loop `pc = 1..=total` under `schedule`,
-/// distributing **iterations** (not outer rows) across threads, and
-/// recovering original indices per [`Recovery`].
-///
-/// Within each chunk, `body` observes points in the original
-/// lexicographic order.
-#[deprecated(note = "use `collapsed.runner(&pool).run(body)`")]
-pub fn run_collapsed<F>(
-    pool: &ThreadPool,
-    collapsed: &Collapsed,
-    schedule: Schedule,
-    recovery: Recovery,
-    body: F,
-) -> ImbalanceReport
-where
-    F: Fn(usize, &[i64]) + Sync,
-{
-    collapsed
-        .runner(pool)
-        .schedule(schedule)
-        .recovery(recovery)
-        .run(body)
-        .report
-}
-
-/// [`run_collapsed`] polling a [`RunToken`] once per row segment (and
-/// once per chunk/batch): the run stops within one segment of the
-/// token tripping and the returned [`RunOutcome`] carries the exact
-/// number of body invocations that completed. The token check is
-/// O(rows), never O(points) — one relaxed load per segment while the
-/// token stays live (plus one coarse timestamp probe when a deadline
-/// is set).
-#[deprecated(note = "use `collapsed.runner(&pool).token(&token).run(body)`")]
-pub fn run_collapsed_with<F>(
-    pool: &ThreadPool,
-    collapsed: &Collapsed,
-    schedule: Schedule,
-    recovery: Recovery,
-    token: &RunToken,
-    body: F,
-) -> (RunOutcome, ImbalanceReport)
-where
-    F: Fn(usize, &[i64]) + Sync,
-{
-    let r = collapsed
-        .runner(pool)
-        .schedule(schedule)
-        .recovery(recovery)
-        .token(token)
-        .run(body);
-    (r.outcome, r.report)
-}
-
-/// Resumes a collapsed sweep over the remaining rank window: executes
-/// ranks `skip+1 ..= total` (so a run stopped after
-/// `points_done = skip` invocations completes the sweep exactly). The
-/// same token discipline as [`run_collapsed_with`] applies; pass a
-/// fresh token to run the remainder uninterrupted.
-#[deprecated(note = "use `collapsed.runner(&pool).resume(skip).token(&token).run(body)`")]
-#[allow(clippy::too_many_arguments)]
-pub fn run_collapsed_resume<F>(
-    pool: &ThreadPool,
-    collapsed: &Collapsed,
-    skip: u64,
-    schedule: Schedule,
-    recovery: Recovery,
-    token: &RunToken,
-    body: F,
-) -> (RunOutcome, ImbalanceReport)
-where
-    F: Fn(usize, &[i64]) + Sync,
-{
-    let r = collapsed
-        .runner(pool)
-        .schedule(schedule)
-        .recovery(recovery)
-        .token(token)
-        .resume(skip)
-        .run(body);
-    (r.outcome, r.report)
-}
-
-/// The one collapsed executor behind [`run_collapsed`] and its token
-/// variants: runs the rank window `base+1 ..= base+count` (0-based
-/// offsets `base..base+count`) under `schedule`, with the optional
-/// [`TokenCtl`] polled once per row segment / batch — never per point
+/// The one collapsed executor behind [`Runner::run`](crate::Runner::run):
+/// runs the rank window `base+1 ..= base+count` (0-based offsets
+/// `base..base+count`) under `schedule`, distributing **iterations**
+/// (not outer rows) across threads. Within each chunk `body` observes
+/// points in the original lexicographic order. The optional
+/// [`TokenCtl`] is polled once per row segment — never per point
 /// (except the deliberately per-point Naive ablation).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_collapsed_window<F>(
@@ -412,25 +276,12 @@ where
         "rank window out of range"
     );
     let d = collapsed.depth();
-    if let Recovery::Batched(vlength) = recovery {
-        assert!(
-            vlength >= 1,
-            "Recovery::Batched vector length must be ≥ 1 (validate with Recovery::batched)"
-        );
-    }
-    // Per-worker scratch slots (unranker + batched-mode buffers),
-    // allocated once and reused across chunks so the specialization
+    // Per-worker unrankers, reused across chunks so the specialization
     // caches survive chunk boundaries under every schedule — lock-free
     // (each slot belongs to its tid; see `WorkerLocal`). The reference
     // ablation deliberately runs cacheless, as the pre-compilation
     // engine did.
-    let scratch: Option<WorkerLocal<ExecScratch<'_>>> = if recovery == Recovery::Reference {
-        None
-    } else {
-        Some(WorkerLocal::new(pool.nthreads(), |_| {
-            ExecScratch::new(collapsed)
-        }))
-    };
+    let unrankers = worker_unrankers(pool, collapsed, recovery);
     pool.parallel_for(count, schedule, &|tid, s, e| {
         debug_assert!(s < e);
         // Shift the schedule's window-relative chunk into rank space.
@@ -465,8 +316,8 @@ where
                 // poll is per point here too: this ablation already
                 // pays a full recovery per point, so a relaxed load is
                 // noise — and it is the one mode with no segments.)
-                let scratch = scratch.as_ref().expect("cached modes hold scratch");
-                scratch.with(tid, |sc| {
+                let unrankers = unrankers.as_ref().expect("cached modes hold unrankers");
+                unrankers.with(tid, |unranker| {
                     let mut local = 0u64;
                     for pc in s..e {
                         if let Some(ctl) = ctl {
@@ -474,7 +325,7 @@ where
                                 break;
                             }
                         }
-                        sc.unranker.unrank_into((pc + 1) as i128, point);
+                        unranker.unrank_into((pc + 1) as i128, point);
                         body(tid, point);
                         local += 1;
                     }
@@ -487,7 +338,7 @@ where
             | Recovery::BinarySearch
             | Recovery::ClosedForm
             | Recovery::Reference => {
-                recover_chunk_anchor(collapsed, scratch.as_ref(), recovery, tid, s, point);
+                recover_chunk_anchor(collapsed, unrankers.as_ref(), recovery, tid, s, point);
                 // Row-segmented walk (the `j++` of the paper's Fig. 4):
                 // the shared `RowWalker` iterates each row as a tight
                 // innermost loop and pays one odometer carry per row.
@@ -509,55 +360,6 @@ where
                 if let Some(ctl) = ctl {
                     ctl.add_done(local);
                 }
-            }
-            Recovery::Batched(vlength) => {
-                // §VI.A, lane-parallel: every batch anchor of the chunk
-                // is recovered directly from its flattened index
-                // (ranks s+1, s+1+L, s+1+2L, … in one batched call —
-                // shared specializations, monotone lane sweeps), then
-                // each batch materializes into the worker's persistent
-                // tuple buffer by row-segmented fills. The token is
-                // polled once per batch.
-                let scratch = scratch.as_ref().expect("cached modes hold scratch");
-                let nest = collapsed.nest();
-                scratch.with(tid, |sc| {
-                    let span = (e - s) as usize;
-                    let nbatches = span.div_ceil(vlength);
-                    sc.anchors.resize(nbatches * d, 0);
-                    sc.unranker.unrank_batch_into(
-                        (s + 1) as i128,
-                        vlength as i128,
-                        nbatches,
-                        &mut sc.anchors,
-                    );
-                    sc.tuples.resize(vlength * d, 0);
-                    let mut walker = RowWalker::anchor(nest, &sc.anchors[..d]);
-                    let mut remaining = span;
-                    let mut local = 0u64;
-                    for anchor in sc.anchors.chunks_exact(d) {
-                        if let Some(ctl) = ctl {
-                            if ctl.stop_requested() {
-                                break;
-                            }
-                        }
-                        let batch = vlength.min(remaining);
-                        walker.reanchor(anchor);
-                        let mut filled = 0usize;
-                        while filled < batch {
-                            let seg = walker.next_segment((batch - filled) as u64);
-                            walker.fill(&seg, &mut sc.tuples[filled * d..]);
-                            filled += seg.len as usize;
-                        }
-                        for tuple in sc.tuples[..batch * d].chunks_exact(d) {
-                            body(tid, tuple);
-                        }
-                        local += batch as u64;
-                        remaining -= batch;
-                    }
-                    if let Some(ctl) = ctl {
-                        ctl.add_done(local);
-                    }
-                });
             }
         }
     })
@@ -611,138 +413,17 @@ where
     ImbalanceReport::new(per_thread, wall)
 }
 
-/// Partial collapse (the paper's `collapse(c)` with `c < depth`, used
-/// for `ltmp` where a dependence blocks collapsing the innermost loop):
-/// the flattened index ranges over the **outer `c` loops** only
-/// (`collapsed` must come from
-/// [`NestSpec::prefix`](nrl_polyhedra::NestSpec::prefix)), and the
-/// remaining inner loops of `full` run sequentially inside each
-/// flattened iteration.
-///
-/// `body` receives the complete `full.depth()`-tuple.
-#[deprecated(note = "use `collapsed.runner(&pool).over(&full).run(body)`")]
-pub fn run_collapsed_prefix<F>(
-    pool: &ThreadPool,
-    full: &BoundNest,
-    collapsed: &Collapsed,
-    schedule: Schedule,
-    recovery: Recovery,
-    body: F,
-) -> ImbalanceReport
-where
-    F: Fn(usize, &[i64]) + Sync,
-{
-    collapsed
-        .runner(pool)
-        .schedule(schedule)
-        .recovery(recovery)
-        .over(full)
-        .run(body)
-        .report
-}
-
-/// [`run_collapsed_prefix`] polling a [`RunToken`], with the same
-/// segment-granular stop discipline as [`run_collapsed_with`]. The
-/// outcome's `points_done` counts **flattened prefix iterations** (the
-/// unit the schedule distributes), not full-depth points: a resumed
-/// run picks up at that prefix rank via
-/// [`run_collapsed_prefix_resume`].
-#[deprecated(note = "use `collapsed.runner(&pool).over(&full).token(&token).run(body)`")]
-#[allow(clippy::too_many_arguments)]
-pub fn run_collapsed_prefix_with<F>(
-    pool: &ThreadPool,
-    full: &BoundNest,
-    collapsed: &Collapsed,
-    schedule: Schedule,
-    recovery: Recovery,
-    token: &RunToken,
-    body: F,
-) -> (RunOutcome, ImbalanceReport)
-where
-    F: Fn(usize, &[i64]) + Sync,
-{
-    let r = collapsed
-        .runner(pool)
-        .schedule(schedule)
-        .recovery(recovery)
-        .over(full)
-        .token(token)
-        .run(body);
-    (r.outcome, r.report)
-}
-
-/// Resumes a partial-collapse sweep over the remaining **prefix-rank**
-/// window (`skip` = `points_done` of the stopped run): executes prefix
-/// ranks `skip+1 ..= total`, each with its full inner sub-nest, so the
-/// interrupted and resumed halves together cover the domain exactly
-/// once.
-#[deprecated(
-    note = "use `collapsed.runner(&pool).over(&full).resume(skip).token(&token).run(body)`"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn run_collapsed_prefix_resume<F>(
-    pool: &ThreadPool,
-    full: &BoundNest,
-    collapsed: &Collapsed,
-    skip: u64,
-    schedule: Schedule,
-    recovery: Recovery,
-    token: &RunToken,
-    body: F,
-) -> (RunOutcome, ImbalanceReport)
-where
-    F: Fn(usize, &[i64]) + Sync,
-{
-    let r = collapsed
-        .runner(pool)
-        .schedule(schedule)
-        .recovery(recovery)
-        .over(full)
-        .token(token)
-        .resume(skip)
-        .run(body);
-    (r.outcome, r.report)
-}
-
-/// §VI.B: simulates a GPU warp of `warp` lanes over the collapsed loop.
-/// Lane `t` executes ranks `t+1, t+1+W, t+1+2W, …` — memory-
-/// coalescing-friendly on real GPUs. Lanes are distributed over the
-/// pool's threads; each thread recovers **all its lane anchors in one
-/// lane-parallel batched call** (`unrank_batch_into` at ranks
-/// `tid+1, tid+1+T, …` — the GPU scheme *is* L-lane batched recovery),
-/// then each lane advances `W` odometer steps between iterations. The
-/// anchor buffers live in the same per-worker [`WorkerLocal`] scratch
-/// design as [`run_collapsed`]'s chunk scratch.
-#[deprecated(note = "use `collapsed.runner(&pool).warp(warp, body)`")]
-pub fn run_warp_sim<F>(pool: &ThreadPool, collapsed: &Collapsed, warp: usize, body: F)
-where
-    F: Fn(usize, &[i64]) + Sync,
-{
-    collapsed.runner(pool).warp(warp, body);
-}
-
-/// [`run_warp_sim`] polling a [`RunToken`]: checked at every lane
-/// anchor and then every `WARP_POLL_STRIDE` (32) strided steps within a
-/// lane (each step already pays an `O(rows crossed)` skip, so the poll
-/// stays off the per-point path). Returns the exact body-invocation
-/// count on a stop, like [`run_collapsed_with`].
-#[deprecated(note = "use `collapsed.runner(&pool).token(&token).warp(warp, body)`")]
-pub fn run_warp_sim_with<F>(
-    pool: &ThreadPool,
-    collapsed: &Collapsed,
-    warp: usize,
-    token: &RunToken,
-    body: F,
-) -> RunOutcome
-where
-    F: Fn(usize, &[i64]) + Sync,
-{
-    collapsed.runner(pool).token(token).warp(warp, body)
-}
-
 /// Lane steps between token polls in the warp executor.
 const WARP_POLL_STRIDE: u64 = 32;
 
+/// The §VI.B executor behind [`Runner::warp`](crate::Runner::warp):
+/// lane `t` of a `warp`-lane warp executes ranks `t+1, t+1+W, …`.
+/// Lanes are dealt round-robin over the pool's threads; each thread
+/// recovers its lane anchors one by one through its scalar cached
+/// unranker (`⌈warp/threads⌉` anchors, against a full domain walk),
+/// then each lane advances `W` odometer steps between iterations. The
+/// optional [`TokenCtl`] is polled at every lane anchor and then every
+/// [`WARP_POLL_STRIDE`] strided steps within a lane.
 pub(crate) fn run_warp_sim_ctl<F>(
     pool: &ThreadPool,
     collapsed: &Collapsed,
@@ -756,7 +437,7 @@ pub(crate) fn run_warp_sim_ctl<F>(
     let total = collapsed.total();
     let d = collapsed.depth();
     let nthreads = pool.nthreads();
-    let scratch = WorkerLocal::new(nthreads, |_| ExecScratch::new(collapsed));
+    let unrankers = WorkerLocal::new(nthreads, |_| collapsed.unranker());
     pool.run(&|tid| {
         // Lanes tid, tid+T, tid+2T, … below both caps: `lane < warp`
         // and `lane + 1 ≤ total` (the lane's first rank exists).
@@ -793,25 +474,20 @@ pub(crate) fn run_warp_sim_ctl<F>(
             }
             return;
         }
-        scratch.with(tid, |sc| {
-            sc.anchors.resize(nlanes * d, 0);
-            sc.unranker.unrank_batch_into(
-                (tid + 1) as i128,
-                nthreads as i128,
-                nlanes,
-                &mut sc.anchors,
-            );
-            let mut walker = RowWalker::anchor(collapsed.nest(), &sc.anchors[..d]);
+        unrankers.with(tid, |unranker| {
+            let mut anchor = [0i64; MAX_DEPTH];
+            let anchor = &mut anchor[..d];
             let mut local = 0u64;
-            'lanes: for (l, anchor) in sc.anchors.chunks_exact(d).enumerate() {
+            'lanes: for l in 0..nlanes {
                 if let Some(ctl) = ctl {
                     if ctl.stop_requested() {
                         break 'lanes;
                     }
                 }
                 let lane = tid + l * nthreads;
-                walker.reanchor(anchor);
                 let mut pc = (lane + 1) as i128;
+                unranker.unrank_into(pc, anchor);
+                let mut walker = RowWalker::anchor(collapsed.nest(), anchor);
                 let mut steps = 0u64;
                 loop {
                     body(lane, walker.point());
@@ -898,7 +574,6 @@ mod tests {
         for recovery in [
             Recovery::Naive,
             Recovery::OncePerChunk,
-            Recovery::Batched(8),
             Recovery::BinarySearch,
             Recovery::ClosedForm,
             Recovery::Reference,
@@ -1040,35 +715,33 @@ mod tests {
     }
 
     #[test]
-    fn batched_covers_domain_across_lane_widths_and_schedules() {
+    fn mid_row_chunks_cover_domain_across_grains_and_schedules() {
+        // Grains far below figure6's row lengths put chunk boundaries
+        // inside rows: every chunk anchors mid-row and its walk must
+        // resume there.
         let nest = NestSpec::figure6();
         let spec = CollapseSpec::new(&nest).unwrap();
         let collapsed = spec.bind(&[9]).unwrap();
         let pool = ThreadPool::new(3);
-        for vlength in [1usize, 3, 4, 8, 17] {
-            for schedule in [
-                Schedule::Static,
-                Schedule::StaticChunk(7), // chunk not a multiple of vlength
-                Schedule::Dynamic(5),
-                Schedule::Guided(2),
-            ] {
+        for grain in [1u64, 3, 4, 8, 17] {
+            for schedule in [Schedule::StaticChunk(grain), Schedule::Dynamic(grain)] {
                 let got = collect_parallel(|body| {
                     collapsed
                         .runner(&pool)
                         .schedule(schedule)
-                        .recovery(Recovery::Batched(vlength))
                         .run(|t, p| body(t, p))
                 });
-                assert_eq!(got, reference(&nest, &[9]), "L={vlength} {schedule:?}");
+                assert_eq!(got, reference(&nest, &[9]), "{schedule:?}");
             }
         }
     }
 
     #[test]
-    fn batched_chunk_order_is_lexicographic() {
-        // Within one chunk the batched executor must deliver points in
-        // original order, exactly like OncePerChunk (§VI.A keeps the
-        // lexicographic walk, only materialized batch-wise).
+    fn mid_row_chunk_order_is_lexicographic() {
+        // One worker takes the chunks in rank order, so even with every
+        // boundary cutting a row the sweep must replay the original
+        // lexicographic order (the paper's incrementation argument
+        // across chunk anchors).
         let nest = NestSpec::correlation();
         let spec = CollapseSpec::new(&nest).unwrap();
         let collapsed = spec.bind(&[30]).unwrap();
@@ -1076,52 +749,13 @@ mod tests {
         let seen = Mutex::new(Vec::new());
         collapsed
             .runner(&pool)
-            .recovery(Recovery::Batched(13))
+            .schedule(Schedule::StaticChunk(13))
             .run(|_, p| {
                 seen.lock().unwrap().push(p.to_vec());
             });
         let seen = seen.into_inner().unwrap();
         let expect: Vec<Vec<i64>> = nest.enumerate(&[30]).collect();
         assert_eq!(seen, expect);
-    }
-
-    #[test]
-    fn batched_constructor_rejects_zero_vector_length() {
-        assert_eq!(Recovery::batched(0), Err(ZeroVectorLength));
-        assert_eq!(Recovery::batched(8), Ok(Recovery::Batched(8)));
-        // A zero length smuggled past the constructor is rejected by
-        // the executor instead of being silently clamped.
-        let nest = NestSpec::correlation();
-        let spec = CollapseSpec::new(&nest).unwrap();
-        let collapsed = spec.bind(&[10]).unwrap();
-        let pool = ThreadPool::new(1);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            collapsed
-                .runner(&pool)
-                .recovery(Recovery::Batched(0))
-                .run(|_, _| {})
-        }));
-        assert!(result.is_err(), "Batched(0) must panic, not clamp");
-    }
-
-    #[test]
-    fn batched_uses_lane_sweeps() {
-        // The lane engine must actually engage: batch anchors at stride
-        // vlength over a wide quadratic level resolve by forward lane
-        // sweeps (or the exact linear path), visible in the counters.
-        let nest = NestSpec::correlation();
-        let spec = CollapseSpec::new(&nest).unwrap();
-        let collapsed = spec.bind(&[120]).unwrap();
-        let pool = ThreadPool::new(2);
-        collapsed
-            .runner(&pool)
-            .recovery(Recovery::Batched(16))
-            .run(|_, _| {});
-        let stats = collapsed.stats();
-        assert!(
-            stats.lane_sweep > 0,
-            "batched anchors should sweep: {stats:?}"
-        );
     }
 
     #[test]
@@ -1150,29 +784,5 @@ mod tests {
         let seen = seen.into_inner().unwrap();
         let expect: Vec<Vec<i64>> = nest.enumerate(&[30]).collect();
         assert_eq!(seen, expect);
-    }
-
-    /// Pins the deprecated free-function shims: they must keep
-    /// delegating to the [`Runner`](crate::Runner) builder with
-    /// identical coverage until they are removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_cover_domain() {
-        let nest = NestSpec::correlation();
-        let spec = CollapseSpec::new(&nest).unwrap();
-        let collapsed = spec.bind(&[15]).unwrap();
-        let pool = ThreadPool::new(3);
-        let got = collect_parallel(|body| {
-            run_collapsed(
-                &pool,
-                &collapsed,
-                Schedule::Dynamic(4),
-                Recovery::OncePerChunk,
-                |t, p| body(t, p),
-            )
-        });
-        assert_eq!(got, reference(&nest, &[15]));
-        let warped = collect_parallel(|body| run_warp_sim(&pool, &collapsed, 8, |t, p| body(t, p)));
-        assert_eq!(warped, reference(&nest, &[15]));
     }
 }

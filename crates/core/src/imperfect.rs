@@ -27,9 +27,10 @@
 //!   their *maximum* (the nest is "leaving").
 //!
 //! [`NestPosition`] captures both conditions for a point; the
-//! [`run_seq_guarded`]/[`run_collapsed_guarded`] executors hand it to
-//! the body along with the indices, so one collapsed parallel loop
-//! carries all the statements of the imperfect program.
+//! [`run_seq_guarded`]/[`Runner::run_guarded`](crate::Runner::run_guarded)
+//! executors hand it to the body along with the indices, so one
+//! collapsed parallel loop carries all the statements of the imperfect
+//! program.
 //!
 //! **Preconditions.** The guard transformation is exact only when every
 //! inner loop executes at least once for every prefix (strict trip
@@ -44,10 +45,10 @@
 //! programme) needs synchronization and stays out of scope here.
 
 use crate::collapsed::Collapsed;
-use crate::exec::{recover_chunk_anchor, ExecScratch, Recovery, TokenCtl};
+use crate::exec::{recover_chunk_anchor, worker_unrankers, Recovery, TokenCtl};
 use crate::rowwalk::{RowSegment, RowWalker};
 use crate::unrank::MAX_DEPTH;
-use nrl_parfor::{ImbalanceReport, RunOutcome, RunToken, Schedule, ThreadPool, WorkerLocal};
+use nrl_parfor::{ImbalanceReport, Schedule, ThreadPool};
 use nrl_polyhedra::BoundNest;
 
 /// Where a point sits inside the nest structure: which levels it
@@ -180,8 +181,8 @@ impl NestPosition {
 
 /// Runs the guarded perfect nest sequentially: `body(point, position)`
 /// for every point in lexicographic order. The correctness reference
-/// for [`run_collapsed_guarded`], and the shape a hand-written
-/// imperfect program flattens to.
+/// for [`Runner::run_guarded`](crate::Runner::run_guarded), and the
+/// shape a hand-written imperfect program flattens to.
 pub fn run_seq_guarded<F: FnMut(&[i64], NestPosition)>(nest: &BoundNest, mut body: F) {
     let d = nest.depth();
     let mut point = [0i64; MAX_DEPTH];
@@ -231,7 +232,9 @@ pub(crate) fn run_guarded_segment<F>(
     });
 }
 
-/// Runs the collapsed loop in parallel, handing each iteration its
+/// The guarded executor behind
+/// [`Runner::run_guarded`](crate::Runner::run_guarded): runs the
+/// collapsed loop in parallel, handing each iteration its
 /// [`NestPosition`] so sunken prologue/epilogue statements fire exactly
 /// once, at their original program position.
 ///
@@ -242,59 +245,10 @@ pub(crate) fn run_guarded_segment<F>(
 /// the row's first point) and the symmetric exhaustion fires the
 /// epilogues at its last. Only a chunk's first point, which may sit
 /// mid-row, pays one `O(depth)` [`NestPosition::of`] scan; every other
-/// iteration costs what the unguarded [`run_collapsed`] costs.
-/// Recovery amortization (§V) is unchanged, and
-/// [`Recovery::Batched`] recovers its guard anchors through the same
-/// lane-parallel `unrank_batch_into` call as the unguarded executor.
-///
-/// [`run_collapsed`]: crate::exec::run_collapsed
-#[deprecated(note = "use `collapsed.runner(&pool).run_guarded(body)`")]
-pub fn run_collapsed_guarded<F>(
-    pool: &ThreadPool,
-    collapsed: &Collapsed,
-    schedule: Schedule,
-    recovery: Recovery,
-    body: F,
-) -> ImbalanceReport
-where
-    F: Fn(usize, &[i64], NestPosition) + Sync,
-{
-    collapsed
-        .runner(pool)
-        .schedule(schedule)
-        .recovery(recovery)
-        .run_guarded(body)
-        .report
-}
-
-/// [`run_collapsed_guarded`] polling a
-/// [`RunToken`] at the same once-per-segment
-/// cadence as [`run_collapsed_with`](crate::exec::run_collapsed_with):
-/// the run stops within one row segment of the token tripping, guard
-/// exactness included (a segment either runs whole — prologues,
-/// bodies, epilogues — or not at all), and the outcome reports the
-/// exact body-invocation count.
-#[deprecated(note = "use `collapsed.runner(&pool).token(&token).run_guarded(body)`")]
-pub fn run_collapsed_guarded_with<F>(
-    pool: &ThreadPool,
-    collapsed: &Collapsed,
-    schedule: Schedule,
-    recovery: Recovery,
-    token: &RunToken,
-    body: F,
-) -> (RunOutcome, ImbalanceReport)
-where
-    F: Fn(usize, &[i64], NestPosition) + Sync,
-{
-    let r = collapsed
-        .runner(pool)
-        .schedule(schedule)
-        .recovery(recovery)
-        .token(token)
-        .run_guarded(body);
-    (r.outcome, r.report)
-}
-
+/// iteration costs what the unguarded executor costs. Recovery
+/// amortization (§V) is unchanged. The optional [`TokenCtl`] is polled
+/// once per row segment, so a segment either runs whole — prologues,
+/// bodies, epilogues — or not at all.
 pub(crate) fn run_collapsed_guarded_ctl<F>(
     pool: &ThreadPool,
     collapsed: &Collapsed,
@@ -311,21 +265,9 @@ where
     let total_u64 = u64::try_from(total).expect("total exceeds u64");
     let d = collapsed.depth();
     let nest = collapsed.nest();
-    if let Recovery::Batched(vlength) = recovery {
-        assert!(
-            vlength >= 1,
-            "Recovery::Batched vector length must be ≥ 1 (validate with Recovery::batched)"
-        );
-    }
-    // Same per-worker scratch design as `run_collapsed` (the reference
-    // ablation deliberately runs cacheless).
-    let scratch: Option<WorkerLocal<ExecScratch<'_>>> = if recovery == Recovery::Reference {
-        None
-    } else {
-        Some(WorkerLocal::new(pool.nthreads(), |_| {
-            ExecScratch::new(collapsed)
-        }))
-    };
+    // Same per-worker unrankers as the unguarded executor (the
+    // reference ablation deliberately runs cacheless).
+    let unrankers = worker_unrankers(pool, collapsed, recovery);
     pool.parallel_for(total_u64, schedule, &|tid, s, e| {
         debug_assert!(s < e);
         if let Some(ctl) = ctl {
@@ -354,8 +296,8 @@ where
                 // ablation, so the per-point bounds scan stays too
                 // (and so does the per-point token poll — this mode
                 // has no segments to amortize over).
-                let scratch = scratch.as_ref().expect("cached modes hold scratch");
-                scratch.with(tid, |sc| {
+                let unrankers = unrankers.as_ref().expect("cached modes hold unrankers");
+                unrankers.with(tid, |unranker| {
                     let mut local = 0u64;
                     for pc in s..e {
                         if let Some(ctl) = ctl {
@@ -363,7 +305,7 @@ where
                                 break;
                             }
                         }
-                        sc.unranker.unrank_into((pc + 1) as i128, point);
+                        unranker.unrank_into((pc + 1) as i128, point);
                         body(tid, point, NestPosition::of(nest, point));
                         local += 1;
                     }
@@ -376,7 +318,7 @@ where
             | Recovery::BinarySearch
             | Recovery::ClosedForm
             | Recovery::Reference => {
-                recover_chunk_anchor(collapsed, scratch.as_ref(), recovery, tid, s, point);
+                recover_chunk_anchor(collapsed, unrankers.as_ref(), recovery, tid, s, point);
                 // One bounds scan for the chunk's (possibly mid-row)
                 // first point; every further guard comes from the
                 // walker's carry depths. The token poll rides the
@@ -401,59 +343,6 @@ where
                 if let Some(ctl) = ctl {
                     ctl.add_done(local);
                 }
-            }
-            Recovery::Batched(vlength) => {
-                // §VI.A for guarded nests: the chunk's batch anchors
-                // are recovered in one lane-parallel `unrank_batch_into`
-                // call exactly like the unguarded executor (and the
-                // warp lanes); the guard walk itself is continuous
-                // across batches, so the anchors double as a
-                // cross-check that the row segmentation and the
-                // batched recovery agree on every batch boundary.
-                let scratch = scratch.as_ref().expect("cached modes hold scratch");
-                scratch.with(tid, |sc| {
-                    let span = (e - s) as usize;
-                    let nbatches = span.div_ceil(vlength);
-                    sc.anchors.resize(nbatches * d, 0);
-                    sc.unranker.unrank_batch_into(
-                        (s + 1) as i128,
-                        vlength as i128,
-                        nbatches,
-                        &mut sc.anchors,
-                    );
-                    let mut first_pos = Some(NestPosition::of(nest, &sc.anchors[..d]));
-                    let mut walker = RowWalker::anchor(nest, &sc.anchors[..d]);
-                    let mut remaining = span as u64;
-                    let mut local = 0u64;
-                    for anchor in sc.anchors.chunks_exact(d) {
-                        if let Some(ctl) = ctl {
-                            if ctl.stop_requested() {
-                                break;
-                            }
-                        }
-                        debug_assert_eq!(
-                            walker.point(),
-                            anchor,
-                            "batch anchors must agree with the row segmentation"
-                        );
-                        let mut batch = (vlength as u64).min(remaining);
-                        remaining -= batch;
-                        local += batch;
-                        while batch > 0 {
-                            let seg = walker.next_segment(batch);
-                            run_guarded_segment(
-                                &mut walker,
-                                &seg,
-                                first_pos.take(),
-                                &mut |p, pos| body(tid, p, pos),
-                            );
-                            batch -= seg.len;
-                        }
-                    }
-                    if let Some(ctl) = ctl {
-                        ctl.add_done(local);
-                    }
-                });
             }
         }
     })

@@ -23,10 +23,10 @@
 //!    verification** that repairs any floating-point rounding, with a
 //!    monotone binary search as a guaranteed fallback (this also lifts
 //!    the paper's degree-4 limitation, §IV-B).
-//! 4. [`exec`] runs the collapsed loop under OpenMP-like schedules with
-//!    the recovery-cost minimizations of §V (once per chunk +
-//!    odometer incrementation), §VI.A (batched/vectorizable) and §VI.B
-//!    (GPU-warp simulation).
+//! 4. [`Collapsed::runner`] runs the collapsed loop under OpenMP-like
+//!    schedules with the recovery-cost minimization of §V (one anchor
+//!    recovery per chunk, then odometer incrementation row by row) and
+//!    the §VI.B GPU-warp simulation ([`Runner::warp`]).
 //!
 //! ```
 //! use nrl_core::CollapseSpec;
@@ -56,14 +56,7 @@ pub mod strategy;
 pub mod unrank;
 
 pub use collapsed::{BindError, CollapseError, CollapseSpec, Collapsed, Unranker};
-#[allow(deprecated)]
-pub use exec::{
-    run_collapsed, run_collapsed_prefix, run_collapsed_prefix_resume, run_collapsed_prefix_with,
-    run_collapsed_resume, run_collapsed_with, run_warp_sim, run_warp_sim_with,
-};
-pub use exec::{run_outer_parallel, run_outer_parallel_range, run_seq, Recovery, ZeroVectorLength};
-#[allow(deprecated)]
-pub use imperfect::{run_collapsed_guarded, run_collapsed_guarded_with};
+pub use exec::{run_outer_parallel, run_outer_parallel_range, run_seq, Recovery};
 pub use imperfect::{run_seq_guarded, NestPosition};
 pub use partition::{balanced_outer_cuts, run_outer_partitioned, OuterCuts};
 pub use plan::ParamPlan;

@@ -51,7 +51,8 @@
 //! the traits, the result types, and the executors.
 
 use crate::collapsed::Collapsed;
-use crate::exec::{recover_chunk_anchor, total_points, ExecScratch, Recovery, TokenCtl};
+use crate::collapsed::Unranker;
+use crate::exec::{recover_chunk_anchor, total_points, worker_unrankers, Recovery, TokenCtl};
 use crate::imperfect::{run_guarded_segment, NestPosition};
 use crate::rowwalk::RowWalker;
 use crate::unrank::MAX_DEPTH;
@@ -307,8 +308,8 @@ where
         schedule,
         ctl,
         &PlainJoiner(reducer),
-        |scratch, tid, walk, s, e, acc| {
-            accumulate_chunk(collapsed, scratch, recovery, tid, walk, s, e, |p| {
+        |unrankers, tid, walk, s, e, acc| {
+            accumulate_chunk(collapsed, unrankers, recovery, tid, walk, s, e, |p| {
                 reducer.accum(tid, p, acc)
             })
         },
@@ -319,7 +320,7 @@ where
 /// The guarded twin of [`run_reduce_window`]: every accumulated point
 /// carries its [`NestPosition`], derived from the row walker's carry
 /// depths exactly like
-/// [`run_collapsed_guarded`](crate::imperfect::run_collapsed_guarded).
+/// [`Runner::run_guarded`](crate::Runner::run_guarded).
 /// Only a walk's anchor pays the `NestPosition::of` scan; every
 /// recovery mode anchors through [`recover_chunk_anchor`].
 #[allow(clippy::too_many_arguments)]
@@ -346,14 +347,14 @@ where
         schedule,
         ctl,
         &GuardedJoiner(reducer),
-        |scratch, tid, walk, s, e, acc| {
+        |unrankers, tid, walk, s, e, acc| {
             if collapsed.depth() == 0 {
                 for _ in s..e {
                     reducer.accum(tid, &[], NestPosition::from_parts(0, 0, 0), acc);
                 }
                 return;
             }
-            let (walker, anchored) = seam_walker(walk, collapsed, scratch, recovery, tid, s);
+            let (walker, anchored) = seam_walker(walk, collapsed, unrankers, recovery, tid, s);
             let mut first_pos = anchored.then(|| NestPosition::of(nest, walker.point()));
             let mut remaining = e - s;
             while remaining > 0 {
@@ -370,7 +371,7 @@ where
 
 /// Shared grid machinery behind the plain and guarded reductions:
 /// distributes window-relative grid-chunk indices under `schedule`,
-/// folds each chunk with `fold_chunk(scratch, tid, walk, s, e, &mut
+/// folds each chunk with `fold_chunk(unrankers, tid, walk, s, e, &mut
 /// acc)` into per-worker [`WorkerLocal`] partial lists, and joins the
 /// contiguous prefix in fixed chunk order after the pool joins.
 ///
@@ -393,14 +394,8 @@ fn run_reduce_grid<'c, A, J, FoldChunk>(
 where
     A: Send,
     J: Joiner<A>,
-    FoldChunk: Fn(
-            Option<&WorkerLocal<ExecScratch<'_>>>,
-            usize,
-            &mut Option<RowWalker<'c>>,
-            u64,
-            u64,
-            &mut A,
-        ) + Sync,
+    FoldChunk: Fn(Option<&WorkerLocal<Unranker<'_>>>, usize, &mut Option<RowWalker<'c>>, u64, u64, &mut A)
+        + Sync,
 {
     let total = total_points(collapsed);
     assert!(
@@ -428,18 +423,12 @@ where
     let first_chunk = base / grain;
     let last_chunk = (base + count - 1) / grain;
     let nchunks = last_chunk - first_chunk + 1;
-    // Per-worker partial lists plus the executor scratch of
-    // `run_collapsed`: both live in `WorkerLocal` slots, allocated once
-    // per reduction and drained (never reused) on join — partials
-    // cannot leak into a later run.
+    // Per-worker partial lists plus the executor's per-worker
+    // unrankers: both live in `WorkerLocal` slots, allocated once per
+    // reduction; the partials are drained (never reused) on join —
+    // they cannot leak into a later run.
     let partials: WorkerLocal<Vec<Partial<A>>> = WorkerLocal::new(pool.nthreads(), |_| Vec::new());
-    let scratch: Option<WorkerLocal<ExecScratch<'_>>> = if recovery == Recovery::Reference {
-        None
-    } else {
-        Some(WorkerLocal::new(pool.nthreads(), |_| {
-            ExecScratch::new(collapsed)
-        }))
-    };
+    let unrankers = worker_unrankers(pool, collapsed, recovery);
     pool.parallel_for(nchunks, schedule, &|tid, ws, we| {
         let mut walk = None;
         for w in ws..we {
@@ -460,7 +449,7 @@ where
             // `trace_smoke` asserts against the export.
             let _chunk = crate::obs::span("reduce", "reduce.chunk");
             let mut acc = joiner.identity();
-            fold_chunk(scratch.as_ref(), tid, &mut walk, s, e, &mut acc);
+            fold_chunk(unrankers.as_ref(), tid, &mut walk, s, e, &mut acc);
             partials.with(tid, |list| list.push((w, acc, e - s)));
         }
     });
@@ -514,12 +503,12 @@ where
 /// Folds the rank window `s+1 ..= e` (0-based offsets `s..e`) of one
 /// grid chunk: per-point recovery for the Naive ablation, otherwise
 /// the schedule chunk's seam-crossing row walk (`walk`), whose one
-/// anchor every other mode — `Batched` included — recovers through
+/// anchor every other mode recovers through
 /// [`recover_chunk_anchor`].
 #[allow(clippy::too_many_arguments)]
 fn accumulate_chunk<'c, F>(
     collapsed: &'c Collapsed,
-    scratch: Option<&WorkerLocal<ExecScratch<'_>>>,
+    unrankers: Option<&WorkerLocal<Unranker<'_>>>,
     recovery: Recovery,
     tid: usize,
     walk: &mut Option<RowWalker<'c>>,
@@ -540,16 +529,16 @@ fn accumulate_chunk<'c, F>(
         return;
     }
     if recovery == Recovery::Naive {
-        let scratch = scratch.expect("cached modes hold scratch");
-        scratch.with(tid, |sc| {
+        let unrankers = unrankers.expect("cached modes hold unrankers");
+        unrankers.with(tid, |unranker| {
             for pc in s..e {
-                sc.unranker.unrank_into((pc + 1) as i128, point);
+                unranker.unrank_into((pc + 1) as i128, point);
                 body(point);
             }
         });
         return;
     }
-    let (walker, _) = seam_walker(walk, collapsed, scratch, recovery, tid, s);
+    let (walker, _) = seam_walker(walk, collapsed, unrankers, recovery, tid, s);
     let mut remaining = e - s;
     while remaining > 0 {
         let seg = walker.next_segment(remaining);
@@ -565,7 +554,7 @@ fn accumulate_chunk<'c, F>(
 fn seam_walker<'w, 'c>(
     walk: &'w mut Option<RowWalker<'c>>,
     collapsed: &'c Collapsed,
-    scratch: Option<&WorkerLocal<ExecScratch<'_>>>,
+    unrankers: Option<&WorkerLocal<Unranker<'_>>>,
     recovery: Recovery,
     tid: usize,
     s: u64,
@@ -574,7 +563,7 @@ fn seam_walker<'w, 'c>(
     let walker = walk.get_or_insert_with(|| {
         let mut point = [0i64; MAX_DEPTH];
         let point = &mut point[..collapsed.depth()];
-        recover_chunk_anchor(collapsed, scratch, recovery, tid, s, point);
+        recover_chunk_anchor(collapsed, unrankers, recovery, tid, s, point);
         RowWalker::anchor(collapsed.nest(), point)
     });
     (walker, anchored)
@@ -598,7 +587,7 @@ fn seam_walker<'w, 'c>(
 /// [`recover_chunk_anchor`]; the token (when present) is polled once
 /// per row segment and `points_done` counts **emitted** points
 /// exactly, matching the stop discipline of
-/// [`run_collapsed_with`](crate::exec::run_collapsed_with).
+/// [`Runner::run`](crate::Runner::run).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_scan_rows_window<A, R, E>(
     pool: &ThreadPool,
@@ -623,13 +612,7 @@ where
     );
     let d = collapsed.depth();
     let nest = collapsed.nest();
-    let scratch: Option<WorkerLocal<ExecScratch<'_>>> = if recovery == Recovery::Reference {
-        None
-    } else {
-        Some(WorkerLocal::new(pool.nthreads(), |_| {
-            ExecScratch::new(collapsed)
-        }))
-    };
+    let unrankers = worker_unrankers(pool, collapsed, recovery);
     pool.parallel_for(count, schedule, &|tid, s, e| {
         debug_assert!(s < e);
         let (s, e) = (base + s, base + e);
@@ -657,7 +640,7 @@ where
             }
             return;
         }
-        recover_chunk_anchor(collapsed, scratch.as_ref(), recovery, tid, s, point);
+        recover_chunk_anchor(collapsed, unrankers.as_ref(), recovery, tid, s, point);
         // Re-fold the anchor row's silent prefix: everything from the
         // row start up to (excluding) the anchor, accumulated without
         // emitting.

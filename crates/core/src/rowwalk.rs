@@ -6,10 +6,9 @@
 //! segments**: maximal runs where only the innermost iterator moves.
 //! Walking a chunk therefore costs one inclusive-bound query per row
 //! plus one odometer carry per row transition — never a per-point
-//! bounds query. Before this module each executor hand-rolled that
-//! walk (`run_collapsed`'s once-per-chunk loop, the batched mode's
-//! row fill, `run_warp_sim`'s strided advance); `RowWalker` is the one
-//! implementation they all share.
+//! bounds query. Every executor — the once-per-chunk loop, the guarded
+//! walk, the reductions and scans, the warp executor's strided advance
+//! — shares this one implementation.
 //!
 //! The walker also exposes, for free, exactly the information the
 //! guarded (imperfect-nest) executor needs: the **carry depths** at a
@@ -120,9 +119,8 @@ impl<'a> RowWalker<'a> {
         }
     }
 
-    /// Re-anchors the walker at another domain point (the batched
-    /// executor re-anchors at each batch's recovered anchor), clearing
-    /// any pending carry and entry knowledge.
+    /// Re-anchors the walker at another domain point, clearing any
+    /// pending carry and entry knowledge.
     pub fn reanchor(&mut self, anchor: &[i64]) {
         debug_assert_eq!(anchor.len(), self.depth, "anchor arity mismatch");
         debug_assert!(self.nest.contains(anchor), "anchor must lie in the domain");
@@ -218,9 +216,9 @@ impl<'a> RowWalker<'a> {
     }
 
     /// Materializes `seg` into `buf` (flat `len × depth` tuples): a
-    /// prefix broadcast plus an innermost iota — the fixed-stride,
-    /// auto-vectorization-friendly fill the batched executor runs
-    /// bodies over. Same contract as [`for_each`](Self::for_each).
+    /// prefix broadcast plus an innermost iota — a fixed-stride,
+    /// auto-vectorization-friendly layout for bodies that want whole
+    /// tuples. Same contract as [`for_each`](Self::for_each).
     #[inline]
     pub fn fill(&self, seg: &RowSegment, buf: &mut [i64]) {
         let d = self.depth;

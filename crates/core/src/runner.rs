@@ -1,10 +1,9 @@
 //! The unified execution builder: one entry point for every way of
 //! running a collapsed loop.
 //!
-//! The executor surface grew one free function per (execution form ×
-//! token × resume) combination — 15 `run_*` functions whose parameter
-//! lists repeated pool/schedule/recovery in every signature, and which
-//! a reduction variant would have doubled. [`Runner`] folds the
+//! One free function per (execution form × token × resume)
+//! combination would repeat pool/schedule/recovery in every signature,
+//! and a reduction variant would double them. [`Runner`] folds the
 //! cross-cutting configuration into a builder on [`Collapsed`]:
 //!
 //! ```
@@ -18,7 +17,7 @@
 //!     .unwrap();
 //! let pool = ThreadPool::new(4);
 //!
-//! // Plain parallel execution (the old `run_collapsed`):
+//! // Plain parallel execution:
 //! let count = AtomicU64::new(0);
 //! let report = collapsed
 //!     .runner(&pool)
@@ -30,7 +29,7 @@
 //! assert!(report.outcome.is_completed());
 //! assert_eq!(count.load(Ordering::Relaxed) as i128, collapsed.total());
 //!
-//! // A cancellable run (the old `run_collapsed_with`):
+//! // A cancellable run:
 //! let token = RunToken::new();
 //! let report = collapsed.runner(&pool).token(&token).run(|_t, _p| {});
 //! assert!(report.outcome.is_completed());
@@ -48,8 +47,8 @@
 //! [`run_guarded`](Runner::run_guarded), [`warp`](Runner::warp),
 //! [`reduce`](Runner::reduce),
 //! [`reduce_guarded`](Runner::reduce_guarded),
-//! [`scan`](Runner::scan)) execute. The old free functions survive as
-//! `#[deprecated]` one-line shims over this builder.
+//! [`scan`](Runner::scan)) execute. `Runner` is the only way into the
+//! collapsed executors.
 
 use crate::collapsed::Collapsed;
 use crate::exec::{
@@ -213,7 +212,7 @@ impl<'a> Runner<'a> {
                 let c = self.collapsed.depth();
                 let d = full.depth();
                 // Per-worker full-tuple buffers, same `WorkerLocal`
-                // design as the executor scratch.
+                // design as the executors' per-worker unrankers.
                 let points = WorkerLocal::new(self.pool.nthreads(), |_| [0i64; MAX_DEPTH]);
                 self.run_window(base, count, |tid, prefix| {
                     points.with(tid, |point| {
@@ -314,8 +313,8 @@ impl<'a> Runner<'a> {
 
     /// Simulates a GPU warp of `warp` lanes (§VI.B): lane `t` executes
     /// ranks `t+1, t+1+W, …`. Ignores the schedule and recovery
-    /// settings — the warp scheme fixes both (lane-batched recovery,
-    /// strided advance).
+    /// settings — the warp scheme fixes both (one anchor recovery per
+    /// lane, strided advance).
     pub fn warp<F>(&self, warp: usize, body: F) -> RunOutcome
     where
         F: Fn(usize, &[i64]) + Sync,

@@ -1,13 +1,10 @@
 //! The cost-model-driven strategy autotuner: predict, search, and
-//! persist the fastest execution strategy per (shape, params, machine).
+//! persist the cheapest execution strategy per (shape, params, machine).
 //!
-//! The paper's speedups depend entirely on picking the right execution
-//! strategy per nest — and the committed baselines show the stakes
-//! (`batched8` is 44% slower than `once_per_chunk` on correlation
-//! N=800 while `batched64` wins; naive per-point recovery is 12×
-//! worse than either). Yet every caller so far hand-picks
-//! `Schedule × Recovery × lane width`. This module closes the loop in
-//! the `Impl`-style spirit of modular cost-model synthesis systems:
+//! Every chunked executor recovers one anchor per schedule chunk and
+//! then walks rows (§V); what remains to choose is the engine that
+//! recovers the anchor. This module picks it from a cost model in the
+//! `Impl`-style spirit of modular cost-model synthesis systems:
 //!
 //! 1. [`ShapeProfile::measure`] samples a bound [`Collapsed`] loop —
 //!    per-level widths, degrees, engines, row statistics — in a few
@@ -15,43 +12,31 @@
 //! 2. every [`StrategyNode`] predicts its recovery overhead via
 //!    [`compute_main_cost`](StrategyNode::compute_main_cost) from the
 //!    profile and the machine's measured [`EngineCalibration`]
-//!    constants (the PR 5 microprobe, extended to absolute picosecond
-//!    costs);
-//! 3. [`search`] walks the bounded candidate space and returns the
-//!    cheapest *executable* strategy as a [`TunedStrategy`] — which
-//!    [`ParamPlan`](crate::ParamPlan) persists per
-//!    `(context, params)` slot so plan-cache hits skip the whole
-//!    procedure, and [`Runner::auto`](crate::Runner::auto) applies.
+//!    constants (the bind-time microprobe, extended to absolute
+//!    picosecond costs);
+//! 3. [`search`] walks the two candidates and returns the cheaper one
+//!    as a [`TunedStrategy`] — which [`ParamPlan`](crate::ParamPlan)
+//!    persists per `(context, params)` slot so plan-cache hits skip the
+//!    whole procedure, and [`Runner::auto`](crate::Runner::auto)
+//!    applies.
 //!
 //! Cost formulas model **recovery overhead only** (anchor solves,
-//! probe sweeps, chunk handshakes) — the loop body is the same work
-//! under every strategy, so it cancels out of the comparison except
-//! where a node trades balance for it ([`StrategyNode::OuterParallel`],
-//! [`StrategyNode::PartialCollapse`], which price imbalance against a
-//! nominal one-multiply-add body). See `docs/AUTOTUNER.md` for the
-//! formula derivations and the model's stated limits.
+//! probe sweeps, chunk handshakes, row steps) — the loop body is the
+//! same work under every strategy, so it cancels out of the comparison.
+//! Both nodes pay the same row walk, so they differ only in the anchor
+//! engine; where the two tie, the fixed candidate order makes
+//! [`Strategy::DEFAULT`] win. See `docs/AUTOTUNER.md` for the formula
+//! derivations and the model's stated limits.
 
 use crate::collapsed::Collapsed;
 use crate::exec::Recovery;
 use crate::unrank::{EngineCalibration, LevelEngine};
 use nrl_parfor::Schedule;
-use nrl_poly::LANE_WIDTH;
 
 /// Ranks sampled when profiling a shape: enough to see the row-length
 /// spread of a triangular nest, few enough that profiling stays a
 /// sub-microsecond affair.
 const PROFILE_SAMPLES: usize = 9;
-
-/// Lane widths the bounded search tries for [`StrategyNode::Batched`].
-pub const SEARCH_LANE_WIDTHS: [usize; 4] = [8, 32, 64, 256];
-
-/// Nominal per-point body cost (picoseconds) used **only** by the
-/// advisory nodes that trade thread balance against body work
-/// (`OuterParallel`, `PartialCollapse`): one multiply-add, priced like
-/// a degree-1 probe. Real bodies are heavier, which makes imbalance
-/// *more* expensive — the advisory costs are lower bounds on the
-/// penalty.
-const NOMINAL_BODY_PS: u64 = 8_000;
 
 /// Measured execution-relevant statistics of one bound collapsed loop:
 /// everything the [`StrategyNode`] cost formulas consume. Obtained by
@@ -146,16 +131,11 @@ impl ShapeProfile {
     }
 
     /// Predicted picoseconds of one **full anchor recovery** (all
-    /// levels, each through its bind-time engine), including the
-    /// per-level prefix specialization fold.
-    fn anchor_ps(&self, cal: &EngineCalibration) -> f64 {
-        self.anchor_ps_engine(cal, None)
-    }
-
-    /// [`Self::anchor_ps`] with every closed-form-capable level forced
-    /// to `engine` (the `Recovery::BinarySearch` / `::ClosedForm`
-    /// ablation axes).
-    fn anchor_ps_engine(&self, cal: &EngineCalibration, forced: Option<LevelEngine>) -> f64 {
+    /// levels), including the per-level prefix specialization fold.
+    /// Each level runs its bind-time engine unless `forced` pins every
+    /// closed-form-capable level to one engine (the
+    /// `Recovery::BinarySearch` / `::ClosedForm` ablation axes).
+    fn anchor_ps(&self, cal: &EngineCalibration, forced: Option<LevelEngine>) -> f64 {
         let mut ps = 0.0;
         for k in 0..self.depth {
             let deg = self.level_degree[k];
@@ -190,147 +170,51 @@ impl ShapeProfile {
 /// One node of the strategy IR: an execution scheme whose recovery
 /// overhead [`compute_main_cost`](Self::compute_main_cost) predicts
 /// from a [`ShapeProfile`] and the machine's [`EngineCalibration`].
-///
-/// The first three nodes are **executable** through
-/// [`Runner`](crate::Runner) with nothing but a
-/// [`Strategy`] (`schedule` + `recovery`) — they form the
-/// [`search`] space. The last three are **advisory**: they require a
-/// different call shape (`Runner::warp`, `run_outer_parallel`,
-/// `Runner::over`) and are costed for reporting and analysis, not
-/// picked by `.auto()`.
+/// Every node is executable through [`Runner`](crate::Runner) with
+/// nothing but a [`Strategy`] (`schedule` + `recovery`); together they
+/// form the [`search`] space.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StrategyNode {
     /// §V: one anchor recovery per chunk, odometer row walking after.
     OncePerChunk,
-    /// §VI.A: lane-batched anchors every `L` points (forward Horner
-    /// sweeps between anchors).
-    Batched(usize),
     /// Once-per-chunk anchors with every level forced onto the
     /// monotone binary search (the pure-integer ablation engine).
     BinarySearch,
-    /// §VI.B: a simulated GPU warp of the given width — strided
-    /// odometer advance, thread-batched anchor recovery. Advisory.
-    WarpSim(usize),
-    /// Plain outer-loop parallelism (the baseline the paper collapses
-    /// away from): zero recovery cost, full row imbalance. Advisory.
-    OuterParallel,
-    /// `collapse(c)` with `c < depth`: collapse the outer `c` levels,
-    /// walk the inner subtree sequentially per prefix rank. Advisory.
-    PartialCollapse(usize),
 }
 
 impl StrategyNode {
     /// Predicts this node's end-to-end **overhead** in picoseconds for
     /// one full run of the profiled loop on `threads` workers under
-    /// static chunking: recovery work (anchors, sweeps, probes), chunk
-    /// handshakes, and — for the balance-trading advisory nodes — the
-    /// imbalance penalty at a nominal body cost. Deterministic in its
-    /// inputs; the [`search`] winner is the argmin over executable
-    /// nodes.
+    /// static chunking: anchor recovery, chunk handshakes and row
+    /// steps. Deterministic in its inputs; the [`search`] winner is the
+    /// argmin over the nodes.
     pub fn compute_main_cost(
         &self,
         profile: &ShapeProfile,
         cal: &EngineCalibration,
         threads: usize,
     ) -> u128 {
-        let n = (profile.total.max(0)) as f64;
-        let t = threads.max(1) as f64;
-        let chunks = t; // Schedule::Static: one contiguous block per thread
-        let chunk_overhead = chunks * (profile.anchor_ps(cal) + cal.chunk_ps() as f64);
-        let ps = match *self {
-            StrategyNode::OncePerChunk => chunk_overhead + profile.rows * profile.row_step_ps(cal),
-            StrategyNode::BinarySearch => {
-                let anchor = profile.anchor_ps_engine(cal, Some(LevelEngine::BinarySearch));
-                chunks * (anchor + cal.chunk_ps() as f64) + profile.rows * profile.row_step_ps(cal)
-            }
-            StrategyNode::Batched(l) => {
-                let l = l.max(1) as f64;
-                let anchors = (n / l).ceil();
-                // Each non-first anchor of a chunk resolves by forward
-                // lane sweep: the level above the innermost moves
-                // ≈ L / avg_row_len values, swept in LANE_WIDTH-wide
-                // Horner blocks; the innermost is exact-linear.
-                let outer_deg = if profile.depth >= 2 {
-                    profile.level_degree[profile.depth - 2]
-                } else {
-                    1
-                };
-                let moved = l / profile.avg_row_len.max(1.0);
-                let blocks = ((moved + 1.0) / LANE_WIDTH as f64).ceil();
-                let sweep = blocks * LANE_WIDTH as f64 * cal.probe_ps(outer_deg) as f64;
-                let lane_fixed = 2.0 * cal.probe_ps(2) as f64 + cal.probe_ps(1) as f64;
-                chunk_overhead + anchors * (lane_fixed + sweep)
-            }
-            StrategyNode::WarpSim(w) => {
-                let w = w.max(1) as f64;
-                // Strided odometer advance: each point moves the
-                // odometer ~min(W, row) micro-steps; anchors recover
-                // lane-batched once per warp row.
-                let steps = w.min(profile.avg_row_len);
-                let odo_step = (cal.probe_ps(1) as f64 / 32.0).max(100.0);
-                let lane_fixed = 2.0 * cal.probe_ps(2) as f64 + cal.probe_ps(1) as f64;
-                n * steps * odo_step + (n / w).ceil() * lane_fixed + chunk_overhead
-            }
-            StrategyNode::OuterParallel => {
-                // Zero recovery cost; the price is the longest thread's
-                // excess over perfect balance, at the nominal body.
-                let excess_points =
-                    (profile.max_row_len - profile.avg_row_len).max(0.0) * profile.rows / t;
-                excess_points * NOMINAL_BODY_PS as f64
-            }
-            StrategyNode::PartialCollapse(c) => {
-                let c = c.clamp(1, profile.depth.max(1));
-                // Points per collapsed prefix = product of the inner
-                // level widths left sequential.
-                let inner: f64 = profile.level_width[c.min(profile.depth)..]
-                    .iter()
-                    .product::<f64>()
-                    .max(1.0);
-                let prefix_rows = (n / inner).max(1.0);
-                let odo_step = (cal.probe_ps(1) as f64 / 32.0).max(100.0);
-                // Anchors only solve the outer c levels.
-                let shallow = ShapeProfile {
-                    depth: c,
-                    level_width: profile.level_width[..c].to_vec(),
-                    level_degree: profile.level_degree[..c].to_vec(),
-                    level_engine: profile.level_engine[..c].to_vec(),
-                    level_i64_safe: profile.level_i64_safe[..c].to_vec(),
-                    ..profile.clone()
-                };
-                chunks * (shallow.anchor_ps(cal) + cal.chunk_ps() as f64)
-                    + prefix_rows * profile.row_step_ps(cal)
-                    + n * odo_step
-                    // Tail imbalance: the last chunk boundary rounds to
-                    // whole prefixes of `inner` points each.
-                    + inner * (t / 2.0) * NOMINAL_BODY_PS as f64
-            }
+        let chunks = threads.max(1) as f64; // Schedule::Static: one block per thread
+        let forced = match self {
+            StrategyNode::OncePerChunk => None,
+            StrategyNode::BinarySearch => Some(LevelEngine::BinarySearch),
         };
+        let anchor = profile.anchor_ps(cal, forced);
+        let ps =
+            chunks * (anchor + cal.chunk_ps() as f64) + profile.rows * profile.row_step_ps(cal);
         ps.max(0.0) as u128
     }
 
-    /// Whether a [`Runner`](crate::Runner) can execute this node with
-    /// nothing but a schedule + recovery configuration (the [`search`]
-    /// space); advisory nodes return `false`.
-    pub fn executable(&self) -> bool {
-        matches!(
-            self,
-            StrategyNode::OncePerChunk | StrategyNode::Batched(_) | StrategyNode::BinarySearch
-        )
-    }
-
-    /// The `Runner` configuration equivalent of an executable node
-    /// (`None` for advisory nodes).
-    pub fn as_strategy(&self) -> Option<Strategy> {
-        let recovery = match *self {
+    /// The `Runner` configuration equivalent of this node.
+    pub fn as_strategy(&self) -> Strategy {
+        let recovery = match self {
             StrategyNode::OncePerChunk => Recovery::OncePerChunk,
-            StrategyNode::Batched(l) => Recovery::Batched(l.max(1)),
             StrategyNode::BinarySearch => Recovery::BinarySearch,
-            _ => return None,
         };
-        Some(Strategy {
+        Strategy {
             schedule: Schedule::Static,
             recovery,
-        })
+        }
     }
 }
 
@@ -354,7 +238,7 @@ impl Strategy {
         recovery: Recovery::OncePerChunk,
     };
 
-    /// A compact human-readable tag (`static/batched64` style) for
+    /// A compact human-readable tag (`static/once_per_chunk` style) for
     /// metrics reports and bench labels.
     pub fn label(&self) -> String {
         let schedule = match self.schedule {
@@ -366,7 +250,6 @@ impl Strategy {
         let recovery = match self.recovery {
             Recovery::Naive => "naive".to_string(),
             Recovery::OncePerChunk => "once_per_chunk".to_string(),
-            Recovery::Batched(l) => format!("batched{l}"),
             Recovery::BinarySearch => "binary_search".to_string(),
             Recovery::ClosedForm => "closed_form".to_string(),
             Recovery::Reference => "reference".to_string(),
@@ -387,19 +270,16 @@ pub struct TunedStrategy {
     pub predicted_ns: u64,
 }
 
-/// The bounded executable candidate set the search walks, in the fixed
-/// deterministic order ties resolve by.
-pub fn candidates() -> Vec<StrategyNode> {
-    let mut c = vec![StrategyNode::OncePerChunk];
-    c.extend(SEARCH_LANE_WIDTHS.map(StrategyNode::Batched));
-    c.push(StrategyNode::BinarySearch);
-    c
+/// The candidate set the search walks, in the fixed deterministic
+/// order ties resolve by ([`Strategy::DEFAULT`]'s node first).
+pub fn candidates() -> [StrategyNode; 2] {
+    [StrategyNode::OncePerChunk, StrategyNode::BinarySearch]
 }
 
-/// Picks the cheapest executable strategy for the profiled shape on
-/// this calibration and thread count: an exhaustive argmin over
-/// [`candidates`] (6 nodes — bounded by construction, deterministic by
-/// fixed iteration order with strict-less replacement).
+/// Picks the cheapest strategy for the profiled shape on this
+/// calibration and thread count: an exhaustive argmin over
+/// [`candidates`] (deterministic by fixed iteration order with
+/// strict-less replacement).
 pub fn search(profile: &ShapeProfile, cal: &EngineCalibration, threads: usize) -> TunedStrategy {
     if profile.depth == 0 || profile.total <= 1 {
         return TunedStrategy {
@@ -410,7 +290,7 @@ pub fn search(profile: &ShapeProfile, cal: &EngineCalibration, threads: usize) -
     let mut best: Option<(u128, Strategy)> = None;
     for node in candidates() {
         let cost = node.compute_main_cost(profile, cal, threads);
-        let strategy = node.as_strategy().expect("candidates are executable");
+        let strategy = node.as_strategy();
         if best.map(|(c, _)| cost < c).unwrap_or(true) {
             best = Some((cost, strategy));
         }
@@ -462,21 +342,21 @@ mod tests {
 
     #[test]
     fn cost_model_orders_the_known_extremes() {
-        // The committed BENCH_collapse.json ordering the model must
-        // reproduce: naive per-point recovery is an order of magnitude
-        // above every chunked scheme, and batched8's anchor storm
-        // costs more than batched64's.
+        // Per-point recovery is orders of magnitude above either
+        // once-per-chunk engine, which pay the same row walk and differ
+        // only in the handful of anchors.
         let p = correlation_profile(800);
         let cal = EngineCalibration::STATIC;
-        let naive_like = p.total as u128 * p.anchor_ps(&cal) as u128;
+        let naive_like = p.total as u128 * p.anchor_ps(&cal, None) as u128;
         let opc = StrategyNode::OncePerChunk.compute_main_cost(&p, &cal, 4);
-        let b8 = StrategyNode::Batched(8).compute_main_cost(&p, &cal, 4);
-        let b64 = StrategyNode::Batched(64).compute_main_cost(&p, &cal, 4);
-        assert!(opc < b8, "once-per-chunk {opc} must beat batched8 {b8}");
-        assert!(b64 < b8, "batched64 {b64} must beat batched8 {b8}");
+        let bs = StrategyNode::BinarySearch.compute_main_cost(&p, &cal, 4);
         assert!(
-            naive_like > 4 * b8,
-            "per-point recovery {naive_like} must dwarf batched8 {b8}"
+            naive_like > 100 * opc.max(bs),
+            "per-point recovery {naive_like} must dwarf once-per-chunk {opc} / {bs}"
+        );
+        assert!(
+            opc.abs_diff(bs) < opc / 10,
+            "anchor engines differ by a few anchors: {opc} vs {bs}"
         );
     }
 
@@ -487,17 +367,16 @@ mod tests {
         let a = search(&p, &cal, 4);
         let b = search(&p, &cal, 4);
         assert_eq!(a, b);
-        // The winner must be one of the bounded candidates.
-        assert!(candidates()
-            .iter()
-            .any(|n| n.as_strategy() == Some(a.strategy)));
+        // The winner must be one of the candidates.
+        assert!(candidates().iter().any(|n| n.as_strategy() == a.strategy));
     }
 
     #[test]
-    fn short_row_shapes_prefer_batching_over_row_walks() {
-        // A nest with tiny rows (inner extent 2) makes the per-row
-        // walking term dominate once-per-chunk; the batched engine's
-        // fixed stride must win there.
+    fn short_row_shapes_pick_the_default() {
+        // A nest with tiny rows (inner extent 2): the row-walking term
+        // dominates, both candidates pay it equally, and every level is
+        // linear so the anchors tie too — the tie-break must land on
+        // the default.
         let collapsed = CollapseSpec::new(&NestSpec::rectangular(&[100_000, 2]))
             .unwrap()
             .bind(&[])
@@ -505,37 +384,9 @@ mod tests {
         let p = ShapeProfile::measure(&collapsed);
         let cal = EngineCalibration::STATIC;
         let opc = StrategyNode::OncePerChunk.compute_main_cost(&p, &cal, 4);
-        let b64 = StrategyNode::Batched(64).compute_main_cost(&p, &cal, 4);
-        assert!(b64 < opc, "batched64 {b64} vs once_per_chunk {opc}");
-        let tuned = search(&p, &cal, 4);
-        assert!(matches!(tuned.strategy.recovery, Recovery::Batched(_)));
-    }
-
-    #[test]
-    fn advisory_nodes_cost_but_do_not_execute() {
-        let p = correlation_profile(200);
-        let cal = EngineCalibration::STATIC;
-        for node in [
-            StrategyNode::WarpSim(32),
-            StrategyNode::OuterParallel,
-            StrategyNode::PartialCollapse(1),
-        ] {
-            assert!(!node.executable());
-            assert_eq!(node.as_strategy(), None);
-            // Costs are finite and positive on a real shape.
-            let c = node.compute_main_cost(&p, &cal, 4);
-            assert!(c > 0, "{node:?}");
-        }
-        // A perfectly rectangular shape has zero outer imbalance.
-        let rect = CollapseSpec::new(&NestSpec::rectangular(&[64, 64]))
-            .unwrap()
-            .bind(&[])
-            .unwrap();
-        let rp = ShapeProfile::measure(&rect);
-        assert_eq!(
-            StrategyNode::OuterParallel.compute_main_cost(&rp, &cal, 4),
-            0
-        );
+        let bs = StrategyNode::BinarySearch.compute_main_cost(&p, &cal, 4);
+        assert_eq!(opc, bs);
+        assert_eq!(search(&p, &cal, 4).strategy, Strategy::DEFAULT);
     }
 
     #[test]
@@ -555,8 +406,8 @@ mod tests {
         assert_eq!(Strategy::DEFAULT.label(), "static/once_per_chunk");
         let s = Strategy {
             schedule: Schedule::Dynamic(32),
-            recovery: Recovery::Batched(64),
+            recovery: Recovery::BinarySearch,
         };
-        assert_eq!(s.label(), "dynamic32/batched64");
+        assert_eq!(s.label(), "dynamic32/binary_search");
     }
 }

@@ -32,45 +32,12 @@
 //! `BoundLevel::recover_reference` — the ground truth the
 //! differential tests and ablation benches compare against.
 
-use nrl_poly::{
-    CompiledPoly, IntPoly, LaneHorner, SpecializedPoly, LANE_WIDTH, MAX_COMPILED_COEFFS,
-};
+use nrl_poly::{CompiledPoly, IntPoly, SpecializedPoly, MAX_COMPILED_COEFFS};
 use nrl_solver::{polish_real_root, solve_into, solve_real, Complex64, MAX_DEGREE};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Maximum supported nest depth for the stack-allocated hot path.
 pub const MAX_DEPTH: usize = 16;
-
-/// Fallback probe budget of one lane's forward sweep in
-/// [`BoundLevel::recover_lanes`] before it falls back to the level's
-/// engine with a tightened floor: four [`LANE_WIDTH`]-wide blocks —
-/// past that, `⌈log₂ width⌉` binary-search probes are cheaper than
-/// continuing linearly. Used whenever no inter-anchor gap has been
-/// observed yet (the first swept lane of a run); later lanes **adapt**
-/// the budget to the gap the previous lane actually moved (see
-/// [`adaptive_sweep_budget`]), so strides whose anchors sit a little
-/// past this constant still resolve by sweeping instead of paying an
-/// engine solve per lane.
-const LANE_SWEEP_LIMIT: usize = 4 * LANE_WIDTH;
-
-/// Upper clamp of the adaptive sweep budget: past this many linear
-/// probes a full engine run (closed form, or `⌈log₂ width⌉` search
-/// probes) is cheaper even when the gap is consistent.
-const LANE_SWEEP_MAX: usize = 4 * LANE_SWEEP_LIMIT;
-
-/// The probe budget for the next lane given the inter-anchor gap the
-/// previous lane was observed to move: twice the gap (headroom for the
-/// slowly-growing gaps of shrinking rows), rounded up to whole
-/// [`LANE_WIDTH`] blocks, never below the [`LANE_SWEEP_LIMIT`]
-/// fallback constant and never above [`LANE_SWEEP_MAX`].
-#[inline]
-fn adaptive_sweep_budget(gap: usize) -> usize {
-    let doubled = gap.saturating_mul(2);
-    doubled
-        .div_ceil(LANE_WIDTH)
-        .saturating_mul(LANE_WIDTH)
-        .clamp(LANE_SWEEP_LIMIT, LANE_SWEEP_MAX)
-}
 
 /// The recovery engine one level uses on the adaptive hot path, decided
 /// once at bind time from the level's univariate degree and the proven
@@ -125,10 +92,6 @@ const PROBE_PS_STATIC: [u32; MAX_DEGREE + 1] = [4_000, 4_000, 7_000, 9_000, 11_0
 /// handshake (chunk fetch, done-counter publish).
 const CHUNK_PS_STATIC: u32 = 150_000;
 
-/// Committed per-partial join/publish cost of the deterministic
-/// fixed-grid reduction, in picoseconds.
-const JOIN_PS_STATIC: u32 = 80_000;
-
 /// Clamp range for every microprobe-measured picosecond constant: a
 /// timing artifact (clock granularity, preemption) must not push a
 /// constant into a regime where the cost model's products overflow or
@@ -161,8 +124,6 @@ pub struct EngineCalibration {
     solve_ps: [u32; MAX_DEGREE + 1],
     /// Per-chunk anchor/handshake overhead, picoseconds.
     chunk_ps: u32,
-    /// Per-partial reduction join/publish cost, picoseconds.
-    join_ps: u32,
 }
 
 impl EngineCalibration {
@@ -179,7 +140,6 @@ impl EngineCalibration {
             CLOSED_FORM_PROBE_EQUIV[4] * PROBE_PS_STATIC[4],
         ],
         chunk_ps: CHUNK_PS_STATIC,
-        join_ps: JOIN_PS_STATIC,
     };
 
     /// The probe-equivalent solve cost this calibration assigns to
@@ -209,11 +169,6 @@ impl EngineCalibration {
         self.chunk_ps as u64
     }
 
-    /// Per-partial reduction join/publish cost, picoseconds.
-    pub fn join_ps(&self) -> u64 {
-        self.join_ps as u64
-    }
-
     /// Measures the solve/probe cost ratio on this machine: per
     /// closed-form degree, a synthetic monotone ladder is solved
     /// `MICROPROBE_SOLVES` (= 8) times through the closed-form path
@@ -224,10 +179,10 @@ impl EngineCalibration {
     /// The same timings also yield the **absolute** per-strategy
     /// constants the [`strategy`](crate::strategy) cost model runs on:
     /// measured picoseconds per probe and per solve at each degree,
-    /// with the per-chunk and join overheads scaled from their
-    /// committed values by the measured/committed probe ratio (a
-    /// machine-speed proxy — those two paths are too entangled with
-    /// the pool to microbenchmark in isolation).
+    /// with the per-chunk overhead scaled from its committed value by
+    /// the measured/committed probe ratio (a machine-speed proxy — that
+    /// path is too entangled with the pool to microbenchmark in
+    /// isolation).
     pub fn microprobe() -> EngineCalibration {
         use nrl_poly::Poly;
         let mut probe_equiv = CLOSED_FORM_PROBE_EQUIV;
@@ -295,8 +250,8 @@ impl EngineCalibration {
             solve_ps[deg] = ((per_solve * 1000) as u64).clamp(lo as u64, hi as u64) as u32;
         }
         // The linear-path entries keep the committed deg-1/deg-2 ratio
-        // against the measured deg-2 probe; chunk/join scale by the
-        // same machine-speed proxy.
+        // against the measured deg-2 probe; the chunk overhead scales by
+        // the same machine-speed proxy.
         let measured_deg2 = probe_ps[2] as u64;
         let scale = move |committed: u32| -> u32 {
             let scaled = committed as u64 * measured_deg2 / PROBE_PS_STATIC[2] as u64;
@@ -310,7 +265,6 @@ impl EngineCalibration {
             probe_ps,
             solve_ps,
             chunk_ps: scale(CHUNK_PS_STATIC),
-            join_ps: scale(JOIN_PS_STATIC),
         }
     }
 }
@@ -393,10 +347,6 @@ pub struct RecoveryCounters {
     /// `Unranker` cache misses: the prefix moved, a fresh
     /// specialization was folded.
     pub spec_cache_miss: AtomicU64,
-    /// Batched lanes resolved by the monotone forward lane sweep
-    /// (8/4-wide Horner blocks from the previous lane's value), without
-    /// falling back to a full per-lane engine run.
-    pub lane_sweep: AtomicU64,
 }
 
 /// A plain snapshot of [`RecoveryCounters`].
@@ -414,8 +364,6 @@ pub struct RecoveryStats {
     pub spec_cache_hit: u64,
     /// `Unranker` specialization-cache misses.
     pub spec_cache_miss: u64,
-    /// Batched lanes resolved by the monotone forward lane sweep.
-    pub lane_sweep: u64,
 }
 
 impl RecoveryCounters {
@@ -428,7 +376,6 @@ impl RecoveryCounters {
             linear_exact: self.linear_exact.load(Ordering::Relaxed),
             spec_cache_hit: self.spec_cache_hit.load(Ordering::Relaxed),
             spec_cache_miss: self.spec_cache_miss.load(Ordering::Relaxed),
-            lane_sweep: self.lane_sweep.load(Ordering::Relaxed),
         }
     }
 }
@@ -571,107 +518,6 @@ impl BoundLevel {
             }
         }
         lo
-    }
-
-    /// Lane-parallel recovery of this level's value for `lanes` lanes
-    /// that share the specialized ladder `spec` (equal outer prefix,
-    /// hence equal `[lb, ub]`), at the monotone non-decreasing ranks
-    /// `pc0, pc0+pc_stride, pc0+2·pc_stride, …` — the §VI.A batched
-    /// engine. Lane `l`'s value is written to `out[l·out_stride]`
-    /// (strided so anchors land directly in an array-of-tuples buffer).
-    ///
-    /// Engine shape, exploiting monotonicity (equal prefix + rising
-    /// rank ⇒ non-decreasing level value):
-    ///
-    /// * degree-1 ladders solve every lane with the exact integer
-    ///   linear formula — a branch-free fixed-stride loop;
-    /// * otherwise lane 0 runs the level's bind-time engine, and each
-    ///   later lane **sweeps forward** from its predecessor's value in
-    ///   [`LANE_WIDTH`]-wide Horner blocks ([`LaneHorner`]); a lane
-    ///   whose value outruns [`LANE_SWEEP_LIMIT`] probes falls back to
-    ///   the engine with the search floor tightened to the sweep
-    ///   position, so pathological jumps stay `O(log width)`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn recover_lanes(
-        &self,
-        spec: &SpecializedPoly,
-        lb: i64,
-        ub: i64,
-        pc0: i128,
-        pc_stride: i128,
-        lanes: usize,
-        out: &mut [i64],
-        out_stride: usize,
-        counters: &RecoveryCounters,
-    ) {
-        debug_assert!(lb <= ub, "empty level reached during lane recovery");
-        debug_assert!(lanes >= 1 && out.len() > (lanes - 1) * out_stride);
-        if lb == ub {
-            for l in 0..lanes {
-                out[l * out_stride] = lb;
-            }
-            return;
-        }
-        let den = spec.denominator();
-        if spec.degree() == 1 {
-            // Exact integer linear path, all lanes in one sweep.
-            let c0 = spec.coeff(0);
-            let c1 = spec.coeff(1);
-            debug_assert!(c1 > 0, "ranking must increase with the index");
-            let mut pc = pc0;
-            for l in 0..lanes {
-                let target = rank_target(pc, den);
-                let x = (target - c0).div_euclid(c1);
-                out[l * out_stride] = x.clamp(lb as i128, ub as i128) as i64;
-                pc += pc_stride;
-            }
-            counters
-                .linear_exact
-                .fetch_add(lanes as u64, Ordering::Relaxed);
-            return;
-        }
-        let sweep = LaneHorner::new(spec);
-        let mut probes = [0i128; LANE_WIDTH];
-        let mut v = self.recover_spec(spec, lb, ub, pc0, counters, self.engine);
-        out[0] = v;
-        let mut pc = pc0;
-        let mut budget = LANE_SWEEP_LIMIT;
-        for l in 1..lanes {
-            pc += pc_stride;
-            let target = rank_target(pc, den);
-            let prev = v;
-            // Invariant: numer(v) ≤ target (targets are non-decreasing
-            // and v was exact for the previous one). Advance v while
-            // numer(v+1) ≤ target; the answer is the stopping point.
-            let mut moved = 0usize;
-            let mut swept = true;
-            'lane: while v < ub {
-                if moved >= budget {
-                    v = self.recover_spec(spec, v, ub, pc, counters, self.engine);
-                    swept = false;
-                    break;
-                }
-                let w = LANE_WIDTH.min((ub - v) as usize);
-                sweep.eval_numer_into(v + 1, 1, &mut probes[..w]);
-                for (i, &p) in probes[..w].iter().enumerate() {
-                    if p > target {
-                        v += i as i64;
-                        break 'lane;
-                    }
-                }
-                v += w as i64;
-                moved += w;
-            }
-            if swept {
-                counters.lane_sweep.fetch_add(1, Ordering::Relaxed);
-            }
-            // Equal prefixes + non-decreasing ranks keep the lane
-            // values monotone, so the observed gap predicts the next
-            // lane's movement; engine-resolved lanes feed the same
-            // estimate (their gap is exactly what the sweep missed).
-            budget = adaptive_sweep_budget((v - prev) as usize);
-            out[l * out_stride] = v;
-        }
     }
 
     /// Exact verification of one floored root candidate with the ±1
@@ -1010,119 +856,6 @@ mod tests {
                 checked.recover(&mut b, 0, 0, n - 2, pc as i128, &counters),
                 "pc={pc}"
             );
-        }
-    }
-
-    #[test]
-    fn lane_recovery_matches_scalar_for_every_width_and_stride() {
-        let n = 60i64;
-        let level = correlation_level0(n);
-        let counters = RecoveryCounters::default();
-        let total = ((n - 1) * n / 2) as i128;
-        for lanes in [1usize, 3, 4, 8, 17] {
-            for stride in [1i128, 7, 64] {
-                let mut pc0 = 1i128;
-                while pc0 + (lanes as i128 - 1) * stride <= total {
-                    let spec = level.specialize(&[0, 0]);
-                    let mut got = vec![0i64; lanes];
-                    level.recover_lanes(
-                        &spec,
-                        0,
-                        n - 2,
-                        pc0,
-                        stride,
-                        lanes,
-                        &mut got,
-                        1,
-                        &counters,
-                    );
-                    for (l, &v) in got.iter().enumerate() {
-                        let mut point = [0i64, 0];
-                        let pc = pc0 + l as i128 * stride;
-                        let expect = level.recover(&mut point, 0, 0, n - 2, pc, &counters);
-                        assert_eq!(v, expect, "lanes={lanes} stride={stride} pc={pc}");
-                    }
-                    pc0 += 191; // cover starts deep into the triangle too
-                }
-            }
-        }
-        assert!(
-            counters.snapshot().lane_sweep > 0,
-            "small strides must resolve lanes by forward sweep"
-        );
-    }
-
-    #[test]
-    fn adaptive_budget_floors_at_the_constant_and_clamps() {
-        assert_eq!(adaptive_sweep_budget(0), LANE_SWEEP_LIMIT);
-        assert_eq!(adaptive_sweep_budget(1), LANE_SWEEP_LIMIT);
-        assert_eq!(
-            adaptive_sweep_budget(LANE_SWEEP_LIMIT / 2),
-            LANE_SWEEP_LIMIT
-        );
-        // Past the constant, the budget tracks 2× the gap in whole
-        // LANE_WIDTH blocks…
-        let gap = LANE_SWEEP_LIMIT + 3;
-        let budget = adaptive_sweep_budget(gap);
-        assert!(
-            budget >= 2 * gap && budget.is_multiple_of(LANE_WIDTH),
-            "{budget}"
-        );
-        // …up to the clamp.
-        assert_eq!(adaptive_sweep_budget(usize::MAX / 4), LANE_SWEEP_MAX);
-    }
-
-    #[test]
-    fn adaptive_sweep_resolves_gaps_past_the_fixed_limit() {
-        // Anchors ~40–60 apart: past the fixed 32-probe fallback but
-        // inside the adaptive clamp. Lane 1 has no gap estimate yet and
-        // falls back to the engine; every later lane must resolve by
-        // sweeping with the widened budget.
-        let n = 4000i64;
-        let level = correlation_level0(n);
-        let counters = RecoveryCounters::default();
-        let spec = level.specialize(&[0, 0]);
-        let lanes = 16usize;
-        // Row i has ~n − i values; near the start a rank stride of
-        // 45·(n − 100) moves the level value by ~45 < LANE_SWEEP_MAX/2.
-        let stride = 45 * (n as i128 - 100);
-        let total = ((n - 1) as i128) * (n as i128) / 2;
-        assert!((lanes as i128) * stride < total / 2);
-        let mut got = vec![0i64; lanes];
-        level.recover_lanes(&spec, 0, n - 2, 1, stride, lanes, &mut got, 1, &counters);
-        for (l, &v) in got.iter().enumerate() {
-            let mut point = [0i64, 0];
-            let pc = 1 + l as i128 * stride;
-            let expect = level.recover(&mut point, 0, 0, n - 2, pc, &counters);
-            assert_eq!(v, expect, "lane {l}");
-            if l > 0 {
-                let gap = v - got[l - 1];
-                assert!(
-                    gap as usize > LANE_SWEEP_LIMIT,
-                    "test must exercise gaps past the fixed budget, got {gap}"
-                );
-            }
-        }
-        let stats = counters.snapshot();
-        assert!(
-            stats.lane_sweep >= (lanes - 2) as u64,
-            "adaptive budget must let wide-gap lanes sweep: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn lane_recovery_strided_writes_leave_gaps_untouched() {
-        let level = correlation_level0(20);
-        let counters = RecoveryCounters::default();
-        let spec = level.specialize(&[0, 0]);
-        let mut out = [i64::MIN; 9]; // 3 lanes at stride 3
-        level.recover_lanes(&spec, 0, 18, 1, 50, 3, &mut out, 3, &counters);
-        for (slot, &v) in out.iter().enumerate() {
-            if slot % 3 == 0 {
-                assert!(v >= 0, "lane slot {slot} must be written");
-            } else {
-                assert_eq!(v, i64::MIN, "gap slot {slot} must be untouched");
-            }
         }
     }
 

@@ -118,7 +118,7 @@ fn with_strategy_matches_explicit_schedule_and_recovery() {
     let pool = ThreadPool::new(3);
     let strategy = Strategy {
         schedule: Schedule::Dynamic(16),
-        recovery: Recovery::Batched(8),
+        recovery: Recovery::BinarySearch,
     };
     let via_strategy = weighted_sum(&collapsed, &pool, Some(strategy));
     let explicit = {
@@ -136,7 +136,7 @@ fn with_strategy_matches_explicit_schedule_and_recovery() {
         collapsed
             .runner(&pool)
             .schedule(Schedule::Dynamic(16))
-            .recovery(Recovery::Batched(8))
+            .recovery(Recovery::BinarySearch)
             .reduce(&r)
             .value
     };
@@ -210,11 +210,11 @@ fn prediction_ranking_tracks_measured_time() {
     let profile = ShapeProfile::measure(&collapsed);
     let cal = EngineCalibration::STATIC;
 
-    // The executable candidates plus naive, measured directly.
+    // The candidates plus naive, measured directly.
     let mut measured: Vec<(Strategy, f64)> = Vec::new();
     let mut candidates: Vec<Strategy> = strategy::candidates()
         .iter()
-        .filter_map(StrategyNode::as_strategy)
+        .map(StrategyNode::as_strategy)
         .collect();
     candidates.push(Strategy {
         schedule: Schedule::Static,

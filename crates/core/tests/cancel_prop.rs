@@ -19,7 +19,7 @@ const SCHEDULES: [Schedule; 4] = [
 const RECOVERIES: [Recovery; 3] = [
     Recovery::Naive,
     Recovery::OncePerChunk,
-    Recovery::Batched(3),
+    Recovery::BinarySearch,
 ];
 
 /// Random nest of depth 1..=6: either a rectangular box (the only

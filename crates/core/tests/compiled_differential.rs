@@ -127,7 +127,6 @@ proptest! {
         for recovery in [
             Recovery::Naive,
             Recovery::OncePerChunk,
-            Recovery::Batched(4),
             Recovery::BinarySearch,
             Recovery::Reference,
         ] {

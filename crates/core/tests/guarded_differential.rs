@@ -1,15 +1,14 @@
 //! Differential property tests for the row-segmented guarded executor:
 //! on randomized nests of depth 1–6, the statement-instance stream of
-//! `run_collapsed_guarded` — prologues, bodies and epilogues, with
+//! `Runner::run_guarded` — prologues, bodies and epilogues, with
 //! their prefixes — must equal the **imperfect reference** (the
 //! original program executed with real nested loops) under every
 //! schedule and recovery, including:
 //!
 //! * chunk boundaries that split rows mid-segment (small dynamic /
-//!   odd static chunks), where the chunk-anchor `NestPosition::of`
-//!   must agree with the neighbouring chunks' carry-derived guards;
-//! * `Recovery::Batched` with batch boundaries inside rows, where the
-//!   guard anchors come through `unrank_batch_into`;
+//!   odd static chunks, down to grains of 2–3), where the chunk-anchor
+//!   `NestPosition::of` must agree with the neighbouring chunks'
+//!   carry-derived guards;
 //! * single-iteration rows, where a prologue and its epilogue fire at
 //!   the same point (`pile_up` nests with small offsets produce rows
 //!   of every length ≥ 1 down to exactly 1).
@@ -119,16 +118,17 @@ fn check_guarded(nest: &NestSpec, params: &[i64]) -> Result<(), TestCaseError> {
     let pool = ThreadPool::new(3);
     for recovery in [
         Recovery::OncePerChunk,
-        Recovery::Batched(8),
-        Recovery::Batched(3),
+        Recovery::BinarySearch,
         Recovery::Naive,
         Recovery::Reference,
     ] {
         for schedule in [
             Schedule::Static,
-            // Odd chunk sizes split rows mid-segment on purpose.
+            // Odd and tiny chunk sizes split rows mid-segment on purpose.
             Schedule::StaticChunk(7),
+            Schedule::StaticChunk(3),
             Schedule::Dynamic(5),
+            Schedule::Dynamic(2),
             Schedule::Guided(2),
         ] {
             let seen = Mutex::new(Vec::new());
@@ -233,7 +233,7 @@ fn chunk_seams_inside_rows_assign_guards_to_the_right_points() {
     let collapsed = spec.bind(&[30]).unwrap();
     let pool = ThreadPool::new(1);
     for chunk in [1u64, 2, 3, 5] {
-        for recovery in [Recovery::OncePerChunk, Recovery::Batched(2)] {
+        for recovery in [Recovery::OncePerChunk, Recovery::BinarySearch] {
             let seen = Mutex::new(Vec::new());
             collapsed
                 .runner(&pool)
@@ -251,9 +251,10 @@ fn chunk_seams_inside_rows_assign_guards_to_the_right_points() {
     }
 }
 
-/// On a single thread with a single static chunk, the guarded executor
-/// must reproduce the reference stream **in order**, not just as a
-/// multiset — the row segmentation preserves the lexicographic walk.
+/// On a single thread — one static chunk, or row-cutting chunks taken
+/// in rank order — the guarded executor must reproduce the reference
+/// stream **in order**, not just as a multiset: the row segmentation
+/// preserves the lexicographic walk across chunk anchors.
 #[test]
 fn single_chunk_guarded_stream_is_in_order() {
     let nest = NestSpec::figure6();
@@ -262,16 +263,18 @@ fn single_chunk_guarded_stream_is_in_order() {
     let spec = CollapseSpec::new(&nest).unwrap();
     let collapsed = spec.bind(&[9]).unwrap();
     let pool = ThreadPool::new(1);
-    for recovery in [Recovery::OncePerChunk, Recovery::Batched(8)] {
+    // One worker takes chunks in rank order, so chunks of 8 that cut
+    // rows must replay the same in-order stream as the single chunk.
+    for schedule in [Schedule::Static, Schedule::StaticChunk(8)] {
         let seen = Mutex::new(Vec::new());
         collapsed
             .runner(&pool)
-            .recovery(recovery)
+            .schedule(schedule)
             .run_guarded(|_tid, p, pos| {
                 let mut local = Vec::new();
                 record(p, pos, &mut local);
                 seen.lock().unwrap().extend(local);
             });
-        assert_eq!(seen.into_inner().unwrap(), expect, "{recovery:?}");
+        assert_eq!(seen.into_inner().unwrap(), expect, "{schedule:?}");
     }
 }

@@ -102,18 +102,22 @@ proptest! {
         expected.sort();
 
         let pool = ThreadPool::new(3);
-        for recovery in [Recovery::Naive, Recovery::OncePerChunk, Recovery::Batched(4)] {
+        for (schedule, recovery) in [
+            (Schedule::Dynamic(3), Recovery::Naive),
+            (Schedule::Dynamic(3), Recovery::OncePerChunk),
+            (Schedule::StaticChunk(2), Recovery::OncePerChunk),
+        ] {
             let seen = Mutex::new(Vec::new());
             collapsed
                 .runner(&pool)
-                .schedule(Schedule::Dynamic(3))
+                .schedule(schedule)
                 .recovery(recovery)
                 .run(|_t, p| {
                     seen.lock().unwrap().push(p.to_vec());
                 });
             let mut got = seen.into_inner().unwrap();
             got.sort();
-            prop_assert_eq!(&got, &expected, "{:?}", recovery);
+            prop_assert_eq!(&got, &expected, "{:?}/{:?}", schedule, recovery);
         }
     }
 

@@ -26,16 +26,18 @@ use nrl_polyhedra::Space;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-const SCHEDULES: [Schedule; 4] = [
+/// `Dynamic(1)` hands out one grid chunk at a time, so every grid seam
+/// — most of them mid-row — is also an anchor recovery.
+const SCHEDULES: [Schedule; 5] = [
     Schedule::Static,
     Schedule::StaticChunk(7),
     Schedule::Dynamic(5),
+    Schedule::Dynamic(1),
     Schedule::Guided(2),
 ];
 
-const RECOVERIES: [Recovery; 4] = [
+const RECOVERIES: [Recovery; 3] = [
     Recovery::OncePerChunk,
-    Recovery::Batched(8),
     Recovery::Naive,
     Recovery::BinarySearch,
 ];
@@ -199,7 +201,7 @@ proptest! {
         let red = aff_reducer();
         let pool = ThreadPool::new(nthreads);
         for schedule in SCHEDULES {
-            for recovery in [Recovery::OncePerChunk, Recovery::Batched(8)] {
+            for recovery in [Recovery::OncePerChunk, Recovery::BinarySearch] {
                 let full = collapsed.runner(&pool)
                     .schedule(schedule).recovery(recovery)
                     .reduce(&red);
@@ -441,48 +443,51 @@ fn cancel_and_resume_across_mid_row_grid_seams() {
         );
         for &nthreads in &POOLS {
             let pool = ThreadPool::new(nthreads);
-            for schedule in [Schedule::Dynamic(5), Schedule::Static] {
-                for recovery in [Recovery::OncePerChunk, Recovery::Batched(8)] {
-                    let runner = collapsed
-                        .runner(&pool)
-                        .schedule(schedule)
-                        .recovery(recovery);
-                    let full = runner.reduce(&red);
-                    for cancel_at in [1, grain / 2, grain + 3, total / 3, total - grain] {
-                        let token = RunToken::new();
-                        let calls = AtomicU64::new(0);
-                        let cancelling = reducer(
-                            || AFF_ID,
-                            |_tid, p: &[i64], acc: &mut Aff| {
-                                if calls.fetch_add(1, Ordering::Relaxed) + 1 == cancel_at {
-                                    token.cancel();
-                                }
-                                *acc = compose(*acc, point_aff(p));
-                            },
-                            compose,
-                        );
-                        let stopped = runner.token(&token).reduce(&cancelling);
-                        let case = format!(
-                            "N={n} {nthreads} threads {schedule:?}/{recovery:?} cancel at {cancel_at}"
-                        );
-                        let done = match stopped.outcome {
-                            RunOutcome::Cancelled { points_done } => points_done,
-                            RunOutcome::Completed => {
-                                assert_eq!(stopped.value, full.value, "{case}");
-                                continue;
+            for (schedule, recovery) in [
+                (Schedule::Dynamic(5), Recovery::OncePerChunk),
+                (Schedule::Static, Recovery::OncePerChunk),
+                (Schedule::StaticChunk(1), Recovery::OncePerChunk),
+                (Schedule::Dynamic(5), Recovery::BinarySearch),
+            ] {
+                let runner = collapsed
+                    .runner(&pool)
+                    .schedule(schedule)
+                    .recovery(recovery);
+                let full = runner.reduce(&red);
+                for cancel_at in [1, grain / 2, grain + 3, total / 3, total - grain] {
+                    let token = RunToken::new();
+                    let calls = AtomicU64::new(0);
+                    let cancelling = reducer(
+                        || AFF_ID,
+                        |_tid, p: &[i64], acc: &mut Aff| {
+                            if calls.fetch_add(1, Ordering::Relaxed) + 1 == cancel_at {
+                                token.cancel();
                             }
-                            other => panic!("{case}: unexpected {other:?}"),
-                        };
-                        assert_eq!(done % grain, 0, "{case}: points_done {done}");
-                        assert_eq!(done, stopped.counters.joined * grain, "{case}");
-                        let prefix = seq[..done as usize]
-                            .iter()
-                            .fold(AFF_ID, |a, &p| compose(a, p));
-                        assert_eq!(stopped.value, prefix, "{case}");
-                        let resumed = runner.resume(done).reduce(&red);
-                        assert_eq!(resumed.outcome, RunOutcome::Completed, "{case}");
-                        assert_eq!(compose(stopped.value, resumed.value), full.value, "{case}");
-                    }
+                            *acc = compose(*acc, point_aff(p));
+                        },
+                        compose,
+                    );
+                    let stopped = runner.token(&token).reduce(&cancelling);
+                    let case = format!(
+                        "N={n} {nthreads} threads {schedule:?}/{recovery:?} cancel at {cancel_at}"
+                    );
+                    let done = match stopped.outcome {
+                        RunOutcome::Cancelled { points_done } => points_done,
+                        RunOutcome::Completed => {
+                            assert_eq!(stopped.value, full.value, "{case}");
+                            continue;
+                        }
+                        other => panic!("{case}: unexpected {other:?}"),
+                    };
+                    assert_eq!(done % grain, 0, "{case}: points_done {done}");
+                    assert_eq!(done, stopped.counters.joined * grain, "{case}");
+                    let prefix = seq[..done as usize]
+                        .iter()
+                        .fold(AFF_ID, |a, &p| compose(a, p));
+                    assert_eq!(stopped.value, prefix, "{case}");
+                    let resumed = runner.resume(done).reduce(&red);
+                    assert_eq!(resumed.outcome, RunOutcome::Completed, "{case}");
+                    assert_eq!(compose(stopped.value, resumed.value), full.value, "{case}");
                 }
             }
         }

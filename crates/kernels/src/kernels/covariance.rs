@@ -267,28 +267,28 @@ mod tests {
         k.reset();
         k.execute(&Mode::Collapsed {
             pool: &pool,
-            schedule: Schedule::StaticChunk(16),
-            recovery: Recovery::Batched(4),
+            schedule: Schedule::StaticChunk(4),
+            recovery: Recovery::OncePerChunk,
         });
         assert_eq!(k.checksum(), reference);
     }
 
     #[test]
-    fn lane_batched_matches_sequential_at_every_width() {
-        // Chunk boundaries deliberately misaligned with the lane width
-        // so batches straddle row carries on the upper-triangular nest.
+    fn mid_row_chunks_match_sequential_at_every_grain() {
+        // Grains misaligned with the row lengths so chunks straddle row
+        // carries on the upper-triangular nest.
         let pool = ThreadPool::new(3);
         let mut k = Covariance::new(27);
         k.execute(&Mode::Seq);
         let reference = k.checksum();
-        for vlength in [1usize, 3, 4, 8, 17] {
+        for grain in [1u64, 3, 4, 8, 17] {
             k.reset();
             k.execute(&Mode::Collapsed {
                 pool: &pool,
-                schedule: Schedule::StaticChunk(31),
-                recovery: Recovery::batched(vlength).expect("non-zero width"),
+                schedule: Schedule::StaticChunk(grain),
+                recovery: Recovery::OncePerChunk,
             });
-            assert_eq!(k.checksum(), reference, "L={vlength}");
+            assert_eq!(k.checksum(), reference, "grain={grain}");
         }
     }
 

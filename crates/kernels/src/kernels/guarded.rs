@@ -200,8 +200,8 @@ mod tests {
             for (schedule, recovery) in [
                 (Schedule::Static, Recovery::OncePerChunk),
                 (Schedule::Dynamic(7), Recovery::OncePerChunk),
-                (Schedule::Guided(2), Recovery::Batched(8)),
-                (Schedule::StaticChunk(13), Recovery::Batched(3)),
+                (Schedule::Guided(2), Recovery::OncePerChunk),
+                (Schedule::StaticChunk(3), Recovery::OncePerChunk),
                 (Schedule::Dynamic(5), Recovery::Naive),
             ] {
                 kernel.reset();

@@ -106,30 +106,29 @@ mod tests {
         k.reset();
         k.execute(&Mode::Collapsed {
             pool: &pool,
-            schedule: Schedule::Static,
-            recovery: Recovery::Batched(16),
+            schedule: Schedule::StaticChunk(16),
+            recovery: Recovery::OncePerChunk,
         });
         assert_eq!(k.checksum(), reference);
     }
 
     #[test]
-    fn lane_batched_matches_sequential_at_every_width() {
-        // The lane engine end-to-end on a shipped kernel: every lane
-        // width (including non-power-of-two and wider-than-row), plus
-        // the warp executor whose anchors come from the same batched
-        // recovery.
+    fn mid_row_chunks_match_sequential_at_every_grain() {
+        // Chunk anchors mid-row on a shipped kernel: every grain
+        // (including non-power-of-two and wider-than-row), plus the
+        // warp executor whose lanes anchor at interleaved ranks.
         let pool = ThreadPool::new(3);
         let mut k = Syr2k::new(25);
         k.execute(&Mode::Seq);
         let reference = k.checksum();
-        for vlength in [1usize, 3, 4, 8, 17] {
+        for grain in [1u64, 3, 4, 8, 17] {
             k.reset();
             k.execute(&Mode::Collapsed {
                 pool: &pool,
-                schedule: Schedule::Dynamic(19),
-                recovery: Recovery::batched(vlength).expect("non-zero width"),
+                schedule: Schedule::Dynamic(grain),
+                recovery: Recovery::OncePerChunk,
             });
-            assert_eq!(k.checksum(), reference, "L={vlength}");
+            assert_eq!(k.checksum(), reference, "grain={grain}");
         }
         k.reset();
         k.execute(&Mode::Warp {

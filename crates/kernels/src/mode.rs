@@ -31,7 +31,7 @@ pub enum Mode<'a> {
         pool: &'a ThreadPool,
         /// OpenMP schedule for the flattened `pc` loop.
         schedule: Schedule,
-        /// Index-recovery strategy (§V / §VI.A).
+        /// Index-recovery strategy (§V).
         recovery: Recovery,
     },
     /// Collapsed execution observing a [`RunToken`]: the run can be
@@ -42,7 +42,7 @@ pub enum Mode<'a> {
         pool: &'a ThreadPool,
         /// OpenMP schedule for the flattened `pc` loop.
         schedule: Schedule,
-        /// Index-recovery strategy (§V / §VI.A).
+        /// Index-recovery strategy (§V).
         recovery: Recovery,
         /// Cancellation/deadline token polled once per row segment.
         token: &'a RunToken,
@@ -77,7 +77,7 @@ pub enum Mode<'a> {
         tenant: Tenant,
         /// OpenMP schedule for the flattened `pc` loop.
         schedule: Schedule,
-        /// Index-recovery strategy (§V / §VI.A).
+        /// Index-recovery strategy (§V).
         recovery: Recovery,
     },
 }

@@ -130,8 +130,12 @@ mod tests {
             assert!(rel < 1e-12, "{name} vs seq fold: rel err {rel}");
             for nthreads in [1usize, 3, 8] {
                 let pool = ThreadPool::new(nthreads);
-                for schedule in [Schedule::Static, Schedule::Dynamic(7)] {
-                    for recovery in [Recovery::OncePerChunk, Recovery::Batched(8)] {
+                for schedule in [
+                    Schedule::Static,
+                    Schedule::Dynamic(7),
+                    Schedule::StaticChunk(3),
+                ] {
+                    for recovery in [Recovery::OncePerChunk, Recovery::BinarySearch] {
                         let value = aggregate(&pool, schedule, recovery);
                         assert_eq!(
                             value.to_bits(),

@@ -16,10 +16,10 @@
 //! misuse panics instead of racing.
 //!
 //! Every collapsed executor in `nrl_core` runs on this design: the
-//! chunked modes carry their unranker caches and batched-mode
-//! anchor/tuple buffers here, the warp simulator its per-thread lane
-//! anchors, and the partial-collapse driver its full-tuple walk
-//! buffers — one scratch discipline, no per-chunk allocation.
+//! chunked modes and the warp simulator carry their per-worker
+//! unranker caches here, the reductions their partial lists, and the
+//! partial-collapse executor its full-tuple walk buffers — one scratch
+//! discipline, no per-chunk allocation.
 
 use crate::sync::CachePadded;
 use std::cell::UnsafeCell;

@@ -673,16 +673,16 @@ mod tests {
         let cache = PlanCache::new(2, 4);
         let nest = NestSpec::correlation();
         let plain = cache.get_or_analyze(&nest, PlanContext::default()).unwrap();
-        let batched = cache
+        let pinned = cache
             .get_or_analyze(
                 &nest,
                 PlanContext {
                     schedule: Some(Schedule::Dynamic(8)),
-                    recovery: Some(Recovery::Batched(8)),
+                    recovery: Some(Recovery::BinarySearch),
                 },
             )
             .unwrap();
-        assert!(!Arc::ptr_eq(&plain, &batched));
+        assert!(!Arc::ptr_eq(&plain, &pinned));
         assert_eq!(cache.stats().misses, 2);
     }
 
@@ -740,7 +740,7 @@ mod tests {
         let plain = PlanContext::default();
         let pinned = PlanContext {
             schedule: Some(Schedule::Dynamic(8)),
-            recovery: Some(Recovery::Batched(8)),
+            recovery: Some(Recovery::BinarySearch),
         };
         assert_eq!(plain.key(), PlanContext::default().key());
         assert_eq!(pinned.key(), pinned.key());

@@ -42,7 +42,6 @@ pub mod compiled;
 pub mod display;
 pub mod eval;
 pub mod intpoly;
-pub mod lanes;
 pub mod monomial;
 pub mod param;
 pub mod poly;
@@ -51,7 +50,6 @@ pub mod sum;
 
 pub use compiled::{CompileError, CompiledPoly, SpecializedPoly, MAX_COMPILED_COEFFS};
 pub use intpoly::IntPoly;
-pub use lanes::{LaneHorner, LANE_WIDTH};
 pub use monomial::Monomial;
 pub use nrl_rational::Rational;
 pub use param::ParamCompiledPoly;

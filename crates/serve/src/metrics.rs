@@ -168,14 +168,13 @@ impl ServeMetrics {
         let _ = writeln!(
             out,
             "recovery: closed_form_exact {} corrected {} binary_search {} linear_exact {} \
-             spec_cache_hit {} spec_cache_miss {} lane_sweep {}",
+             spec_cache_hit {} spec_cache_miss {}",
             r.closed_form_exact,
             r.corrected,
             r.binary_search,
             r.linear_exact,
             r.spec_cache_hit,
-            r.spec_cache_miss,
-            r.lane_sweep
+            r.spec_cache_miss
         );
         let a = &self.autotune;
         let _ = writeln!(
@@ -295,7 +294,6 @@ pub(crate) struct RecoveryTotals {
     linear_exact: AtomicU64,
     spec_cache_hit: AtomicU64,
     spec_cache_miss: AtomicU64,
-    lane_sweep: AtomicU64,
 }
 
 impl RecoveryTotals {
@@ -311,7 +309,6 @@ impl RecoveryTotals {
             .fetch_add(d.spec_cache_hit, Ordering::Relaxed);
         self.spec_cache_miss
             .fetch_add(d.spec_cache_miss, Ordering::Relaxed);
-        self.lane_sweep.fetch_add(d.lane_sweep, Ordering::Relaxed);
     }
 
     pub(crate) fn snapshot(&self) -> RecoveryStats {
@@ -322,7 +319,6 @@ impl RecoveryTotals {
             linear_exact: self.linear_exact.load(Ordering::Relaxed),
             spec_cache_hit: self.spec_cache_hit.load(Ordering::Relaxed),
             spec_cache_miss: self.spec_cache_miss.load(Ordering::Relaxed),
-            lane_sweep: self.lane_sweep.load(Ordering::Relaxed),
         }
     }
 }
@@ -340,6 +336,5 @@ pub(crate) fn stats_delta(before: &RecoveryStats, after: &RecoveryStats) -> Reco
         linear_exact: after.linear_exact.saturating_sub(before.linear_exact),
         spec_cache_hit: after.spec_cache_hit.saturating_sub(before.spec_cache_hit),
         spec_cache_miss: after.spec_cache_miss.saturating_sub(before.spec_cache_miss),
-        lane_sweep: after.lane_sweep.saturating_sub(before.lane_sweep),
     }
 }

@@ -940,7 +940,7 @@ mod tests {
             .submit_bound(
                 &collapsed,
                 RunRequest::new(Tenant(8), RunWork::Reduce(&WeightedSum))
-                    .with_recovery(Recovery::Batched(8)),
+                    .with_recovery(Recovery::BinarySearch),
             )
             .unwrap();
         let expect: f64 = NestSpec::correlation()
@@ -1022,7 +1022,7 @@ mod tests {
         let service = CollapseService::new(ServeConfig::default());
         let ctx = nrl_plan::PlanContext {
             schedule: Some(Schedule::Dynamic(16)),
-            recovery: Some(Recovery::Batched(8)),
+            recovery: Some(Recovery::BinarySearch),
         };
         let reply = service
             .run(&request(100, 21).with_ctx(ctx), &|_, _| {})

@@ -23,8 +23,8 @@
 //! from the odometer carry depths of the row walk (`RowWalker`) —
 //! computed once per row, not once per point — and the per-row guard
 //! counters printed below double as a smoke check: exactly `N − 1`
-//! prologues and `N − 1` epilogues must fire, under the once-per-chunk
-//! and the lane-batched recovery alike.
+//! prologues and `N − 1` epilogues must fire, whether the chunks hold
+//! whole rows or cut them mid-row.
 //!
 //! ```text
 //! cargo run --release --example imperfect_rows
@@ -82,15 +82,14 @@ fn main() {
 
     // Parallel collapsed execution on the row-segmented guarded
     // executor: every statement instance fires exactly once, wherever
-    // its rank lands — under both the once-per-chunk recovery and the
-    // lane-batched one (whose guard anchors come through
-    // `unrank_batch_into`).
+    // its rank lands — under static chunks and under small dynamic
+    // chunks whose anchors sit mid-row.
     let collapsed = CollapseSpec::new(&nest).unwrap().bind(&[n]).unwrap();
     let pool = ThreadPool::with_available_parallelism();
     let mut last_report = None;
-    for (label, recovery) in [
-        ("once-per-chunk", Recovery::OncePerChunk),
-        ("lane-batched(64)", Recovery::batched(64).unwrap()),
+    for (label, schedule) in [
+        ("static", Schedule::Static),
+        ("dynamic(7), mid-row chunks", Schedule::Dynamic(7)),
     ] {
         let b_par: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(0)).collect();
         let last_par: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(0)).collect();
@@ -99,7 +98,7 @@ fn main() {
         let epilogue_count = AtomicU64::new(0);
         let report = collapsed
             .runner(&pool)
-            .recovery(recovery)
+            .schedule(schedule)
             .run_guarded(|_tid, p, pos| {
                 let (i, j) = (p[0], p[1]);
                 if pos.fires_prologue(0) {

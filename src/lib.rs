@@ -75,12 +75,6 @@ pub mod prelude {
         run_seq, run_seq_guarded, CollapseSpec, Collapsed, GuardedReducer, NestPosition, OuterCuts,
         ParamPlan, Ranking, Recovery, ReduceCounters, Reducer, Reduction, RunReport, Runner,
     };
-    #[allow(deprecated)]
-    pub use nrl_core::{
-        run_collapsed, run_collapsed_guarded, run_collapsed_guarded_with, run_collapsed_prefix,
-        run_collapsed_prefix_resume, run_collapsed_prefix_with, run_collapsed_resume,
-        run_collapsed_with, run_warp_sim, run_warp_sim_with,
-    };
     pub use nrl_morph::{FusedLoop, PackedArray, PackedLayout, RankRemap};
     pub use nrl_parfor::{RunOutcome, RunToken, Schedule, StopCause, ThreadPool};
     pub use nrl_plan::{PlanCache, PlanContext};

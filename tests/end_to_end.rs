@@ -147,12 +147,12 @@ fn all_executors_cover_each_zoo_domain() {
                     });
                 seen.into_inner().unwrap()
             }),
-            ("collapsed-guided-batched".into(), {
+            ("collapsed-chunk3-mid-row".into(), {
                 let seen = Mutex::new(Vec::new());
                 collapsed
                     .runner(&pool)
-                    .schedule(Schedule::Guided(4))
-                    .recovery(Recovery::Batched(8))
+                    .schedule(Schedule::StaticChunk(3))
+                    .recovery(Recovery::OncePerChunk)
                     .run(|_t, p| {
                         seen.lock().unwrap().push(p.to_vec());
                     });

@@ -34,10 +34,9 @@ const SCHEDULES: [Schedule; 4] = [
     Schedule::Guided(2),
 ];
 
-const RECOVERIES: [Recovery; 6] = [
+const RECOVERIES: [Recovery; 5] = [
     Recovery::Naive,
     Recovery::OncePerChunk,
-    Recovery::Batched(8),
     Recovery::BinarySearch,
     Recovery::ClosedForm,
     Recovery::Reference,
@@ -213,8 +212,12 @@ fn straggler_delay_keeps_points_done_exact() {
     let _armed = FaultPlan::new()
         .delay_on(1, 1, Duration::from_micros(200))
         .arm();
-    for schedule in [Schedule::Static, Schedule::Dynamic(5)] {
-        for recovery in [Recovery::OncePerChunk, Recovery::Batched(4)] {
+    for schedule in [
+        Schedule::Static,
+        Schedule::Dynamic(5),
+        Schedule::StaticChunk(4),
+    ] {
+        for recovery in [Recovery::OncePerChunk, Recovery::BinarySearch] {
             let token = RunToken::new();
             let calls = AtomicU64::new(0);
             let outcome = collapsed

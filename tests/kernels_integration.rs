@@ -49,11 +49,11 @@ fn every_kernel_every_mode_matches_sequential() {
                 },
             ),
             (
-                "collapsed-batched",
+                "collapsed-chunk16-mid-row",
                 Mode::Collapsed {
                     pool: &pool,
-                    schedule: Schedule::StaticChunk(64),
-                    recovery: Recovery::Batched(16),
+                    schedule: Schedule::StaticChunk(16),
+                    recovery: Recovery::OncePerChunk,
                 },
             ),
             (
