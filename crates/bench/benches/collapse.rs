@@ -2,8 +2,8 @@
 //! strategies (the §V ablation, microbenchmark form) and the warp
 //! executor (§VI.B).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nrl_core::{CollapseSpec, ParamPlan, Recovery, RunToken, Schedule, ThreadPool};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use nrl_core::{reducer, CollapseSpec, ParamPlan, Recovery, RunToken, Schedule, ThreadPool};
 use nrl_kernels::kernels::Correlation;
 use nrl_plan::{PlanCache, PlanContext};
 use nrl_polyhedra::NestSpec;
@@ -304,6 +304,41 @@ fn bench_reduce(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_row_walk(c: &mut Criterion) {
+    // The row-walk layer: a one-thread `reduce` (no pool parallelism,
+    // one anchor per schedule chunk) whose body hashes the point's
+    // coordinates (xor, then a wrapping multiply, per coordinate) and
+    // sums the hashes. The hash is not affine in the innermost index,
+    // so the compiler cannot fold a row into a closed form: the time
+    // is the innermost loop plus a fixed per-point cost. The JSON
+    // gates the whole reduce; the printed `ns/elem` is the time per
+    // point.
+    let pool = ThreadPool::new(1);
+    let sum = reducer(
+        || 0i64,
+        |_t, p: &[i64], acc: &mut i64| {
+            let h = p.iter().fold(0i64, |h, &x| {
+                (h ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64)
+            });
+            *acc = acc.wrapping_add(h);
+        },
+        i64::wrapping_add,
+    );
+    let mut group = c.benchmark_group("layer/row_walk");
+    group.sample_size(20);
+    for (label, nest, n) in [
+        ("correlation800", NestSpec::correlation(), 800),
+        ("figure6_160", NestSpec::figure6(), 160),
+    ] {
+        let collapsed = CollapseSpec::new(&nest).unwrap().bind(&[n]).unwrap();
+        group.throughput(Throughput::Elements(collapsed.total() as u64));
+        group.bench_function(label, |b| {
+            b.iter(|| collapsed.runner(&pool).reduce(&sum).value);
+        });
+    }
+    group.finish();
+}
+
 fn bench_plan(c: &mut Criterion) {
     // The analyze/instantiate split on two shipped kernel shapes
     // (correlation is the registry's motivating kernel, figure6 the
@@ -365,5 +400,5 @@ fn config() -> Criterion {
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500))
 }
-criterion_group! { name = benches; config = config(); targets = bench_recoveries, bench_cancellation_overhead, bench_warp_sim, bench_spec_construction, bench_guarded, bench_serve_overhead, bench_obs_overhead, bench_reduce, bench_plan }
+criterion_group! { name = benches; config = config(); targets = bench_recoveries, bench_cancellation_overhead, bench_warp_sim, bench_spec_construction, bench_guarded, bench_serve_overhead, bench_obs_overhead, bench_reduce, bench_row_walk, bench_plan }
 criterion_main!(benches);

@@ -30,9 +30,21 @@
 //!
 //! The carry out of a finished row is **deferred** to the next
 //! [`next_segment`](RowWalker::next_segment) call: after a segment is
-//! produced, `prefix()`/[`for_each`](RowWalker::for_each)/
-//! [`fill`](RowWalker::fill) still see the segment's own row, and a
-//! chunk's final carry is never paid at all.
+//! produced, [`for_each`](RowWalker::for_each) still sees the
+//! segment's own row prefix, and a chunk's final carry is never paid
+//! at all.
+//!
+//! The innermost loop — the original nest's `j++`, run once per point
+//! — is [`for_each`](RowWalker::for_each), and it is compiled once per
+//! nest depth for depths 2 and 3 (every paper and benchmark shape is
+//! 2–3 deep): the row prefix is copied into a local `[i64; D]` and only
+//! its last entry changes per point. A body inlined into that loop sees a
+//! point of constant length, so a body reading constant indexes
+//! (`c0·p[0] + c1·p[1] + c2·p[2]`) becomes a register-only loop with no
+//! bounds checks, which the compiler may vectorize. Opaque bodies gain
+//! nothing: a body behind `black_box`, a `dyn Fn`, or serve's
+//! type-erased bodies still receive a slice they must index at run
+//! time. Other depths share one loop over a local `[i64; MAX_DEPTH]`.
 
 use crate::unrank::MAX_DEPTH;
 use nrl_polyhedra::BoundNest;
@@ -119,17 +131,6 @@ impl<'a> RowWalker<'a> {
         }
     }
 
-    /// Re-anchors the walker at another domain point, clearing any
-    /// pending carry and entry knowledge.
-    pub fn reanchor(&mut self, anchor: &[i64]) {
-        debug_assert_eq!(anchor.len(), self.depth, "anchor arity mismatch");
-        debug_assert!(self.nest.contains(anchor), "anchor must lie in the domain");
-        self.point[..self.depth].copy_from_slice(anchor);
-        self.entry = None;
-        self.pending = Pending::Ready;
-        self.exhausted = false;
-    }
-
     /// Nest depth.
     pub fn depth(&self) -> usize {
         self.depth
@@ -202,32 +203,27 @@ impl<'a> RowWalker<'a> {
         }
     }
 
-    /// Invokes `f` on every point of `seg` in lexicographic order.
-    /// `seg` must be the segment just produced by
+    /// Invokes `f` on every point of `seg` in lexicographic order; `f`
+    /// always receives a slice of length [`depth`](Self::depth). `seg`
+    /// must be the segment just produced by
     /// [`next_segment`](Self::next_segment) (the walker still holds its
     /// row prefix).
+    ///
+    /// Nests of depth 2 and 3 run a loop compiled for their depth (see
+    /// the module docs); other depths share one loop over a local copy
+    /// of the point. The walker's own point is not written.
     #[inline]
-    pub fn for_each(&mut self, seg: &RowSegment, mut f: impl FnMut(&[i64])) {
-        let last = self.depth - 1;
-        for r in 0..seg.len {
-            self.point[last] = seg.start + r as i64;
-            f(&self.point[..self.depth]);
-        }
-    }
-
-    /// Materializes `seg` into `buf` (flat `len × depth` tuples): a
-    /// prefix broadcast plus an innermost iota — a fixed-stride,
-    /// auto-vectorization-friendly layout for bodies that want whole
-    /// tuples. Same contract as [`for_each`](Self::for_each).
-    #[inline]
-    pub fn fill(&self, seg: &RowSegment, buf: &mut [i64]) {
-        let d = self.depth;
-        let last = d - 1;
-        let n = seg.len as usize;
-        debug_assert!(buf.len() >= n * d, "tuple buffer too small");
-        for (r, row) in buf[..n * d].chunks_exact_mut(d).enumerate() {
-            row[..last].copy_from_slice(&self.point[..last]);
-            row[last] = seg.start + r as i64;
+    pub fn for_each(&self, seg: &RowSegment, mut f: impl FnMut(&[i64])) {
+        match self.depth {
+            2 => row::<2>(&self.point, seg, f),
+            3 => row::<3>(&self.point, seg, f),
+            d => {
+                let mut p = self.point;
+                for r in 0..seg.len {
+                    p[d - 1] = seg.start + r as i64;
+                    f(&p[..d]);
+                }
+            }
         }
     }
 
@@ -321,6 +317,21 @@ impl<'a> RowWalker<'a> {
                 k -= 1;
             }
         }
+    }
+}
+
+/// The row loop of [`RowWalker::for_each`] for a nest of depth `D`:
+/// the row prefix is copied once into a local `[i64; D]` and only its
+/// innermost entry is written per point, so an inlined body sees a
+/// fixed-length point whose constant indexes need no bounds checks and
+/// can stay in registers.
+#[inline(always)]
+fn row<const D: usize>(point: &[i64; MAX_DEPTH], seg: &RowSegment, mut f: impl FnMut(&[i64])) {
+    let mut p = [0i64; D];
+    p.copy_from_slice(&point[..D]);
+    for r in 0..seg.len {
+        p[D - 1] = seg.start + r as i64;
+        f(&p);
     }
 }
 
@@ -464,24 +475,63 @@ mod tests {
         assert_eq!(seg.pre_from, Some(0));
     }
 
-    #[test]
-    fn fill_matches_for_each() {
-        let nest = NestSpec::figure6();
-        let bound = nest.bind(&[7]);
-        let points = enumerate(&nest, &[7]);
-        let d = 3;
-        let mut walker = RowWalker::anchor(&bound, &points[0]);
-        let mut remaining = points.len() as u64;
-        let mut buf = vec![0i64; points.len() * d];
-        let mut at = 0usize;
-        while remaining > 0 {
-            let seg = walker.next_segment(remaining.min(5));
-            walker.fill(&seg, &mut buf[at * d..]);
-            at += seg.len as usize;
-            remaining -= seg.len;
+    /// A depth-`d` nest with empty inner sub-nests: x0 in 0..=3 and,
+    /// for 1 ≤ k < d−1, x_k in (k mod 2)..=x_{k−1}, so odd levels are
+    /// empty under a zero parent and the carry bounces; the innermost
+    /// level runs (d−1 mod 2)..=x_{d−2}+2, rows long enough to split.
+    fn bouncy_deep(d: usize) -> NestSpec {
+        let names: Vec<String> = (0..d).map(|k| format!("x{k}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let s = Space::new(&names, &[]);
+        let mut bounds = vec![(s.cst(0), s.cst(3))];
+        for k in 1..d {
+            let lo = s.cst((k % 2) as i64);
+            let hi = s.var(names[k - 1]);
+            bounds.push(if k + 1 == d { (lo, hi + 2) } else { (lo, hi) });
         }
-        let flat: Vec<i64> = points.iter().flatten().copied().collect();
-        assert_eq!(buf, flat);
+        NestSpec::new(s, bounds).unwrap()
+    }
+
+    /// Depths 2–3 run the per-depth `row::<D>` loop and 1, 4–6 the
+    /// fallback: both must reproduce the `BoundNest::advance`
+    /// enumeration under every chunk split and mid-row segment limit,
+    /// always handing the body a point of length `depth`.
+    #[test]
+    fn every_depth_walks_the_advance_enumeration() {
+        for d in 1..=6 {
+            let mut extents = vec![2i64; d - 1];
+            extents.push(5);
+            for nest in [bouncy_deep(d), NestSpec::rectangular(&extents)] {
+                let bound = nest.bind(&[]);
+                let mut points = Vec::new();
+                let mut p = bound.first_point().expect("non-empty domain");
+                loop {
+                    points.push(p.clone());
+                    if !bound.advance(&mut p) {
+                        break;
+                    }
+                }
+                let total = points.len();
+                for chunk in 1..=total {
+                    for limit in [1u64, 2, 3, u64::MAX] {
+                        let mut got = Vec::with_capacity(total);
+                        for head in (0..total).step_by(chunk) {
+                            let mut walker = RowWalker::anchor(&bound, &points[head]);
+                            let mut remaining = chunk.min(total - head) as u64;
+                            while remaining > 0 {
+                                let seg = walker.next_segment(remaining.min(limit));
+                                walker.for_each(&seg, |p| {
+                                    assert_eq!(p.len(), d, "point length");
+                                    got.push(p.to_vec());
+                                });
+                                remaining -= seg.len;
+                            }
+                        }
+                        assert_eq!(got, points, "depth {d} chunk {chunk} limit {limit}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -511,18 +561,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn reanchor_resets_the_walk() {
-        let nest = NestSpec::correlation();
-        let bound = nest.bind(&[6]);
-        let mut walker = RowWalker::anchor(&bound, &[0, 1]);
-        let _ = walker.next_segment(3);
-        walker.reanchor(&[3, 4]);
-        let seg = walker.next_segment(10);
-        assert_eq!((seg.start, seg.len), (4, 2));
-        assert_eq!(seg.pre_from, None, "re-anchored entry is unknown again");
     }
 
     #[test]

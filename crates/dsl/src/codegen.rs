@@ -1,8 +1,10 @@
 //! Emission of collapsed source code (the paper's Figs. 3, 4 and 7).
 
 use crate::ast::ProgramAst;
-use crate::formulas::{build_formulas, total_expr, FormulaError, LevelFormula};
+use crate::formulas::{build_formulas, FormulaError, LevelFormula};
 use nrl_core::CollapseSpec;
+use nrl_poly::Poly;
+use std::fmt::Write;
 
 /// Which of the paper's code shapes to emit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,19 +56,118 @@ fn iter_names(spec: &CollapseSpec) -> Vec<String> {
     spec.nest().space().names()[..d].to_vec()
 }
 
-/// Emits the recovery assignments (one per level).
-fn recovery_c(formulas: &[LevelFormula], indent: &str) -> String {
+/// Renders `scale·p`, which must have integer coefficients, as an
+/// expression valid in C and Rust (`3*N*i - i*i + 2`), naming
+/// variable `v` by `names[v]`.
+fn int_poly(p: &Poly, scale: i128, names: &[String]) -> String {
+    let mut out = String::new();
+    for (m, c) in p.terms() {
+        let c = c.numer() * (scale / c.denom());
+        out.push_str(match (out.is_empty(), c < 0) {
+            (true, false) => "",
+            (true, true) => "-",
+            (false, false) => " + ",
+            (false, true) => " - ",
+        });
+        // A unit coefficient is left out unless the term is constant.
+        let mut bare = c.unsigned_abs() == 1 && !m.is_constant();
+        if !bare {
+            write!(out, "{}", c.unsigned_abs()).expect("writing to a String");
+        }
+        for (v, &e) in m.0.iter().enumerate() {
+            for _ in 0..e {
+                if !bare {
+                    out.push('*');
+                }
+                out.push_str(&names[v]);
+                bare = false;
+            }
+        }
+    }
+    if out.is_empty() {
+        out.push('0');
+    }
+    out
+}
+
+/// The iteration count (the collapsed loop's upper bound) in integer
+/// arithmetic: `(den·total) / den`, an exact division.
+fn total_int(spec: &CollapseSpec, names: &[String]) -> String {
+    let total = spec.ranking().total_poly();
+    let den = total.denominator_lcm();
+    let scaled = int_poly(total, den, names);
+    if den == 1 {
+        format!("({scaled})")
+    } else {
+        format!("({scaled}) / {den}")
+    }
+}
+
+/// The integer recovery of one level
+/// ([`IntRecovery`](crate::formulas::IntRecovery)) as statements,
+/// after the root levels' floored assignment. `names` renders the
+/// variables, `pc` the rank; `inc`/`dec` step the index.
+fn int_recovery(
+    f: &LevelFormula,
+    names: &[String],
+    pc: &str,
+    (inc, dec): (&str, &str),
+    indent: &str,
+) -> String {
+    let int = &f.int;
+    let x = &f.var;
+    let den = int.den;
+    // The variables with this level's index named `text`.
+    let at = |text: String| {
+        let mut names = names.to_vec();
+        names[int.level] = text;
+        names
+    };
+    let lower = int_poly(&int.lower, 1, names);
+    let target = if den == 1 {
+        pc.to_string()
+    } else {
+        format!("{den}*{pc}")
+    };
+    let rank = int_poly(&int.rank, den, &at(x.clone()));
+    if f.exact {
+        let step = if den == 1 {
+            format!("{pc} - ({rank})")
+        } else {
+            format!("({target} - ({rank})) / {den}")
+        };
+        return format!("{indent}{x} = {lower};\n{indent}{x} += {step};\n");
+    }
+    let upper = int_poly(&int.upper, 1, names);
+    let rank_next = int_poly(&int.rank, den, &at(format!("({x} + 1)")));
+    format!(
+        "{indent}if ({x} < {lower}) {{ {x} = {lower}; }}\n\
+         {indent}if ({x} > {upper}) {{ {x} = {upper}; }}\n\
+         {indent}while ({x} < {upper} && {rank_next} <= {target}) {{ {inc}; }}\n\
+         {indent}while ({x} > {lower} && {rank} > {target}) {{ {dec}; }}\n"
+    )
+}
+
+/// Emits the recovery assignments (one per level): a root level's
+/// floored formula followed by its exact correction, the innermost
+/// level in integer arithmetic.
+fn recovery_c(formulas: &[LevelFormula], names: &[String], indent: &str) -> String {
     let mut out = String::new();
     for f in formulas {
-        if f.exact {
-            out.push_str(&format!("{indent}{} = {};\n", f.var, f.expr.to_c(false)));
-        } else {
+        let x = &f.var;
+        if !f.exact {
             out.push_str(&format!(
-                "{indent}{} = {};\n",
-                f.var,
+                "{indent}{x} = {};\n",
                 f.expr.to_c(f.needs_complex)
             ));
         }
+        out.push_str(&int_recovery(
+            f,
+            names,
+            "pc",
+            (&format!("{x}++"), &format!("{x}--")),
+            indent,
+        ));
     }
     out
 }
@@ -117,8 +218,10 @@ fn inner_loops_c(prog: &ProgramAst, c: usize, body: &str, indent: &str) -> Strin
 ///
 /// The emitted code mirrors the paper's figures: a single `pc` loop with
 /// an OpenMP pragma, recovery of the original indices (complex math where
-/// required), and — in [`CodegenStyle::Chunked`] — the first-iteration
-/// guard plus incrementation. When the program carries a
+/// required, each floored root then corrected exactly in integer
+/// arithmetic — see `IntRecovery` in the formulas module), and — in
+/// [`CodegenStyle::Chunked`] — the first-iteration guard plus
+/// incrementation. When the program carries a
 /// `collapse(c)` pragma with `c` smaller than the nest depth, `spec`
 /// must describe the **prefix** nest
 /// ([`NestSpec::prefix`](nrl_polyhedra::NestSpec::prefix)) and the
@@ -131,6 +234,7 @@ pub fn generate_c(
 ) -> Result<String, FormulaError> {
     let formulas = build_formulas(spec, &opts.sample_params)?;
     let names = iter_names(spec);
+    let all_names = spec.nest().space().names();
     let c = spec.nest().depth();
     assert_eq!(
         c,
@@ -138,7 +242,7 @@ pub fn generate_c(
         "spec depth must match the program's collapse clause (pass the prefix nest)"
     );
     let needs_complex = formulas.iter().any(|f| f.needs_complex);
-    let total = total_expr(spec).to_c(false);
+    let total = total_int(spec, all_names);
     let body = if prog.body.is_empty() {
         "/* body */;".to_string()
     } else {
@@ -176,7 +280,7 @@ pub fn generate_c(
                 "  #pragma omp parallel for private({locals}) schedule({schedule})\n"
             ));
             out.push_str(&format!("  for (pc = 1; pc <= {total}; pc++) {{\n"));
-            out.push_str(&recovery_c(&formulas, "    "));
+            out.push_str(&recovery_c(&formulas, all_names, "    "));
             out.push_str(&payload);
             out.push_str("  }\n");
         }
@@ -187,7 +291,7 @@ pub fn generate_c(
             ));
             out.push_str(&format!("  for (pc = 1; pc <= {total}; pc++) {{\n"));
             out.push_str("    if (first_iteration) {\n");
-            out.push_str(&recovery_c(&formulas, "      "));
+            out.push_str(&recovery_c(&formulas, all_names, "      "));
             out.push_str("      first_iteration = 0;\n");
             out.push_str("    }\n");
             out.push_str(&payload);
@@ -203,7 +307,7 @@ pub fn generate_c(
             ));
             out.push_str(&format!("  for (pc = 1; pc <= {total}; pc++) {{\n"));
             out.push_str(&format!("    if ((pc - 1) % {chunk} == 0) {{\n"));
-            out.push_str(&recovery_c(&formulas, "      "));
+            out.push_str(&recovery_c(&formulas, all_names, "      "));
             out.push_str("    }\n");
             out.push_str(&payload);
             out.push_str(&incrementation_c(spec, "    "));
@@ -230,7 +334,7 @@ pub fn generate_c(
                 "  for (pc = 1; pc <= {total}; pc += {vlength}) {{\n"
             ));
             out.push_str("    if (first_iteration) {\n");
-            out.push_str(&recovery_c(&formulas, "      "));
+            out.push_str(&recovery_c(&formulas, all_names, "      "));
             out.push_str("      first_iteration = 0;\n");
             out.push_str("    }\n");
             out.push_str(&format!(
@@ -270,7 +374,7 @@ pub fn generate_c(
                 "    for (pc = thread + 1; pc <= {total}; pc += {warp}) {{\n"
             ));
             out.push_str("      if (pc == thread + 1) {\n");
-            out.push_str(&recovery_c(&formulas, "        "));
+            out.push_str(&recovery_c(&formulas, all_names, "        "));
             out.push_str("      }\n");
             out.push_str(&payload);
             out.push_str(&format!(
@@ -296,7 +400,17 @@ pub fn generate_rust(
 ) -> Result<String, FormulaError> {
     let formulas = build_formulas(spec, &opts.sample_params)?;
     let names = iter_names(spec);
-    let total = total_expr(spec).to_c(false); // C-style arithmetic is valid Rust for +,-,*
+    // Each index is computed as an `i128` (the other variables are
+    // `f64` locals holding integers, cast at each use), then shadowed
+    // as an `f64` for the formulas of the deeper levels.
+    let names_i128: Vec<String> = spec
+        .nest()
+        .space()
+        .names()
+        .iter()
+        .map(|v| format!("({v} as i128)"))
+        .collect();
+    let total = total_int(spec, &names_i128);
     let params_decl: Vec<String> = prog.params.iter().map(|p| format!("{p}: f64")).collect();
     let mut out = String::new();
     out.push_str("// Generated by nrl-dsl. The body is invoked with the recovered indices.\n");
@@ -311,34 +425,28 @@ pub fn generate_rust(
     out.push_str("    for pc in 1..=total {\n");
     out.push_str("        let pc = pc as f64;\n");
     for f in &formulas {
+        let x = &f.var;
         if f.exact {
-            out.push_str(&format!(
-                "        let {} = ({}) as i64; let {} = {} as f64;\n",
-                f.var,
-                rust_float_expr(&f.expr.to_rust()),
-                f.var,
-                f.var
-            ));
+            out.push_str(&format!("        let mut {x}: i128;\n"));
         } else {
             out.push_str(&format!(
-                "        let {} = ({}) as i64; let {} = {} as f64;\n",
-                f.var,
-                f.expr.to_rust(),
-                f.var,
-                f.var
+                "        let mut {x} = ({}) as i128;\n",
+                f.expr.to_rust()
             ));
         }
+        out.push_str(&int_recovery(
+            f,
+            &names_i128,
+            "(pc as i128)",
+            (&format!("{x} += 1"), &format!("{x} -= 1")),
+            "        ",
+        ));
+        out.push_str(&format!("        let {x} = {x} as f64;\n"));
     }
     let args: Vec<String> = names.iter().map(|n| format!("{n} as i64")).collect();
     out.push_str(&format!("        body({});\n", args.join(", ")));
     out.push_str("    }\n}\n");
     Ok(out)
-}
-
-/// The exact integer formulas are real-valued; strip them down from the
-/// complex wrapper by taking the real part at the top.
-fn rust_float_expr(complex_expr: &str) -> String {
-    format!("({complex_expr}).re")
 }
 
 #[cfg(test)]
@@ -416,6 +524,45 @@ mod tests {
         assert!(code.contains("for pc in 1..=total"));
         assert!(code.contains("Complex64"));
         assert!(code.contains("body(i as i64, j as i64);"));
+    }
+
+    #[test]
+    fn recovery_is_exact_in_integer_arithmetic() {
+        let (prog, spec) = correlation();
+        let code = generate_c(&prog, &spec, &CodegenOptions::default()).unwrap();
+        // The collapsed bound (N² − N)/2 as an exact integer division.
+        assert!(code.contains("pc <= (-N + N*N) / 2;"), "{code}");
+        // The floored root is clamped into 0 ≤ i ≤ N − 2 and stepped
+        // against 2·R_0(i) ≤ 2·pc < 2·R_0(i + 1).
+        assert!(code.contains("if (i < 0) { i = 0; }"), "{code}");
+        assert!(code.contains("if (i > -2 + N) { i = -2 + N; }"), "{code}");
+        assert!(
+            code.contains(
+                "while (i < -2 + N && 2 - (i + 1) + 2*(i + 1)*N - (i + 1)*(i + 1) <= 2*pc) { i++; }"
+            ),
+            "{code}"
+        );
+        assert!(
+            code.contains("while (i > 0 && 2 - i + 2*i*N - i*i > 2*pc) { i--; }"),
+            "{code}"
+        );
+        // The innermost index is an exact offset from its lower bound.
+        assert!(code.contains("j = 1 + i;"), "{code}");
+        assert!(
+            code.contains("j += (2*pc - (2*j - 3*i + 2*i*N - i*i)) / 2;"),
+            "{code}"
+        );
+        let rust = generate_rust(&prog, &spec, &CodegenOptions::default()).unwrap();
+        assert!(
+            rust.contains("let total = ((-(N as i128) + (N as i128)*(N as i128)) / 2) as i64;"),
+            "{rust}"
+        );
+        assert!(rust.contains("let mut i = ("), "{rust}");
+        assert!(
+            rust.contains("{ i += 1; }") && rust.contains("{ i -= 1; }"),
+            "{rust}"
+        );
+        assert!(!rust.contains("(double)"), "C casts in Rust: {rust}");
     }
 
     #[test]

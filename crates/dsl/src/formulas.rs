@@ -7,6 +7,9 @@
 //! branch whose floored evaluation reproduces the first iteration
 //! (§IV-A), validated here against the exact unranker on a sample of
 //! ranks (§IV-D guarantees the branch choice is stable across `pc`).
+//! Floating point can still land an index one off, so each level also
+//! carries the integer arithmetic (`IntRecovery`) that the emitted
+//! code uses to make it exact.
 
 use crate::sym::SymExpr;
 use nrl_core::CollapseSpec;
@@ -26,8 +29,8 @@ pub enum FormulaError {
         /// Univariate degree at that level.
         degree: usize,
     },
-    /// No root branch reproduced the exact indices on the validation
-    /// sample (indicates an invalid domain for the sample parameters).
+    /// Every root branch evaluated to NaN or ±∞ at some validation
+    /// sample, so none can start the level's correction.
     NoValidBranch {
         /// Offending level.
         level: usize,
@@ -69,6 +72,9 @@ pub struct LevelFormula {
     pub needs_complex: bool,
     /// True for the exact (no-floor-needed) innermost formula.
     pub exact: bool,
+    /// The integer arithmetic the emitted code uses instead of `expr`
+    /// (innermost level) or after it (root levels).
+    pub(crate) int: IntRecovery,
 }
 
 fn neg(e: SymExpr) -> SymExpr {
@@ -183,6 +189,86 @@ pub fn symbolic_roots(coeffs: &[SymExpr]) -> Result<Vec<SymExpr>, usize> {
     }
 }
 
+/// The integer arithmetic that makes a level's emitted index exact.
+///
+/// The formulas are evaluated in floating point, and that can land an
+/// index one off: Cardano's cancellations put the wedge
+/// `0 ≤ k ≤ j − i`'s level-0 root at −7.7e−8 at N = 15, pc = 1, where
+/// the index is 0, and the innermost formula's rational coefficients
+/// can sum to just below an integer. With `R_k(x)` the level's rank
+/// polynomial — the rank of the first point whose level-`k` index is
+/// `x` — the exact index is the largest `x` in `[lower, upper]` with
+/// `R_k(x) ≤ pc`, and `R_k` is non-decreasing there. So the emitted
+/// code
+/// - at a root level, clamps the floored root into the bounds, then
+///   steps it up while `R_k(x + 1) ≤ pc` and down while `R_k(x) > pc`;
+/// - at the innermost level, where `R_k` grows by one per index,
+///   computes `x = lower + pc − R_k(lower)`.
+///
+/// Both compare or subtract `den·R_k` (`den` clears the denominators of
+/// `R_k`'s coefficients) and `den·pc`, so they are exact in integer
+/// arithmetic.
+#[derive(Debug, Clone)]
+pub(crate) struct IntRecovery {
+    /// The level.
+    pub(crate) level: usize,
+    /// `R_k` (iterators, then parameters).
+    pub(crate) rank: Poly,
+    /// The least common denominator of `R_k`'s coefficients.
+    pub(crate) den: i128,
+    /// The level's inclusive lower bound.
+    pub(crate) lower: Poly,
+    /// The level's inclusive upper bound.
+    pub(crate) upper: Poly,
+}
+
+impl IntRecovery {
+    fn new(spec: &CollapseSpec, k: usize) -> IntRecovery {
+        let rank = spec.level_poly(k).clone();
+        IntRecovery {
+            level: k,
+            den: rank.denominator_lcm(),
+            rank,
+            lower: spec.nest().lower(k).to_poly(),
+            upper: spec.nest().upper(k).to_poly(),
+        }
+    }
+
+    /// A root level's exact index for a floored `guess`, stepped the
+    /// way the emitted code steps it. `point` holds the outer indices
+    /// and then the parameters; its entries at this level and deeper
+    /// are ignored.
+    #[cfg(test)]
+    pub(crate) fn correct(&self, guess: i64, point: &[i64], pc: i64) -> i64 {
+        let mut at: Vec<i128> = point.iter().map(|&v| v as i128).collect();
+        let lo = self.lower.eval_int(&at) as i64;
+        let hi = self.upper.eval_int(&at) as i64;
+        let mut rank = |x: i64| {
+            at[self.level] = x as i128;
+            self.rank.eval_int(&at)
+        };
+        let pc = pc as i128;
+        let mut x = guess.clamp(lo, hi);
+        while x < hi && rank(x + 1) <= pc {
+            x += 1;
+        }
+        while x > lo && rank(x) > pc {
+            x -= 1;
+        }
+        x
+    }
+
+    /// The innermost level's exact index, `lower + pc − R_k(lower)`
+    /// (`point` as in [`correct`](Self::correct)).
+    #[cfg(test)]
+    pub(crate) fn offset(&self, point: &[i64], pc: i64) -> i64 {
+        let mut at: Vec<i128> = point.iter().map(|&v| v as i128).collect();
+        let lo = self.lower.eval_int(&at);
+        at[self.level] = lo;
+        (lo + pc as i128 - self.rank.eval_int(&at)) as i64
+    }
+}
+
 /// Builds the per-level recovery formulas for `spec`, selecting root
 /// branches by validation at `sample_params` (which must give a
 /// non-empty valid domain).
@@ -211,6 +297,24 @@ pub fn build_formulas(
         .iter()
         .map(|&pc| (pc, collapsed.unrank(pc)))
         .collect();
+    // One set of bindings per sample (pc, the exact point and the
+    // parameters), shared by every level and branch.
+    let sample_bindings: Vec<HashMap<String, f64>> = sample_points
+        .iter()
+        .map(|(pc, point)| {
+            let mut bind = HashMap::with_capacity(names.len() + 1);
+            bind.insert("pc".to_string(), *pc as f64);
+            for (v, name) in names.iter().enumerate() {
+                let value = if v < d {
+                    point[v]
+                } else {
+                    sample_params[v - d]
+                };
+                bind.insert((*name).to_string(), value as f64);
+            }
+            bind
+        })
+        .collect();
 
     let mut out = Vec::with_capacity(d);
     for k in 0..d {
@@ -228,6 +332,7 @@ pub fn build_formulas(
                 expr,
                 needs_complex: false,
                 exact: true,
+                int: IntRecovery::new(spec, k),
             });
             continue;
         }
@@ -244,40 +349,43 @@ pub fn build_formulas(
             degree: deg,
         })?;
         let _ = degree;
-        // Select the branch whose floor matches the exact indices on
-        // every validation sample, tracking whether any intermediate
-        // value was genuinely complex along the way.
-        let mut chosen = None;
-        let mut observed_complex = false;
-        'branches: for branch in &branches {
-            let mut branch_complex = false;
-            for (pc, point) in &sample_points {
-                let mut bindings: HashMap<String, f64> = HashMap::new();
-                bindings.insert("pc".to_string(), *pc as f64);
-                for (v, name) in names.iter().enumerate().take(d) {
-                    bindings.insert(
-                        (*name).to_string(),
-                        point.get(v).copied().unwrap_or(0) as f64,
-                    );
+        // How far a branch's floor lands from the exact index (at the
+        // worst validation sample), or `None` once a sample misses by
+        // more than `limit` or evaluates to NaN or ±∞; with whether any
+        // intermediate value was genuinely complex. The floor forgives
+        // rounding to just below an integer by 1e-9.
+        let worst_miss = |branch: &SymExpr, limit: f64| {
+            let mut worst = 0.0f64;
+            let mut complex = false;
+            for (bind, (_, point)) in sample_bindings.iter().zip(&sample_points) {
+                let v = branch.eval(bind);
+                complex |= v.im.abs() > 1e-9;
+                let miss = ((v.re + 1e-9).floor() - point[k] as f64).abs();
+                if !miss.is_finite() || miss > limit {
+                    return None;
                 }
-                for (pi, name) in names.iter().enumerate().skip(d) {
-                    bindings.insert((*name).to_string(), sample_params[pi - d] as f64);
-                }
-                let v = branch.eval(&bindings);
-                branch_complex |= v.im.abs() > 1e-9;
-                // Floor with a tiny forgiveness for rounding just below
-                // the integer (the exact verification in nrl-core is the
-                // real safety net; this is only branch selection).
-                let floored = (v.re + 1e-9).floor() as i64;
-                if floored != point[k] {
-                    continue 'branches;
-                }
+                worst = worst.max(miss);
             }
-            chosen = Some(branch.clone());
-            observed_complex = branch_complex;
-            break;
-        }
-        let branch = chosen.ok_or(FormulaError::NoValidBranch { level: k })?;
+            Some((worst, complex))
+        };
+        // The first branch whose floor is exact at every sample (the
+        // paper's convenient branch); failing that, the branch whose
+        // floor lands nearest, which the emitted correction then steps
+        // to the exact index.
+        let (branch, observed_complex) = branches
+            .iter()
+            .find_map(|b| worst_miss(b, 0.0).map(|(_, complex)| (b, complex)))
+            .or_else(|| {
+                branches
+                    .iter()
+                    .filter_map(|b| {
+                        worst_miss(b, f64::INFINITY).map(|(m, complex)| (m, b, complex))
+                    })
+                    .min_by(|x, y| x.0.total_cmp(&y.0))
+                    .map(|(_, b, complex)| (b, complex))
+            })
+            .ok_or(FormulaError::NoValidBranch { level: k })?;
+        let branch = branch.clone();
         // Complex arithmetic is required when a cube root occurs (its
         // principal branch is complex for negative radicands, §IV-C), or
         // when a sampled evaluation was complex. For pure square-root
@@ -297,6 +405,7 @@ pub fn build_formulas(
             expr,
             needs_complex,
             exact: false,
+            int: IntRecovery::new(spec, k),
         });
     }
     Ok(out)
@@ -407,6 +516,117 @@ mod tests {
             .expr
             .eval(&bindings(&[("pc", 1.0), ("N", 10.0)]));
         assert_eq!(v.re as i64, 0);
+    }
+
+    /// Recovers every index of `pc` the way the emitted code does: a
+    /// root level's floored formula evaluated in f64 and truncated to
+    /// an integer (the C assignment to a `long`), then corrected; the
+    /// innermost level in integer arithmetic.
+    fn emitted_recovery(
+        formulas: &[LevelFormula],
+        names: &[&str],
+        params: &[i64],
+        pc: i64,
+    ) -> Vec<i64> {
+        let d = formulas.len();
+        let mut point = vec![0i64; d];
+        point.extend_from_slice(params);
+        let mut bind = bindings(&[("pc", pc as f64)]);
+        for (name, &v) in names[d..].iter().zip(params) {
+            bind.insert(name.to_string(), v as f64);
+        }
+        for (k, f) in formulas.iter().enumerate() {
+            point[k] = if f.exact {
+                f.int.offset(&point, pc)
+            } else {
+                f.int.correct(f.expr.eval(&bind).re as i64, &point, pc)
+            };
+            bind.insert(names[k].to_string(), point[k] as f64);
+        }
+        point.truncate(d);
+        point
+    }
+
+    /// The wedge `0 ≤ i < N, i ≤ j < N, 0 ≤ k ≤ j − i`: its level-0
+    /// cubic root floors one index low at some ranks (at N = 10 and 15
+    /// no branch floors exactly at pc = 1), so codegen must still
+    /// choose a branch and the emitted correction must make every
+    /// index exact.
+    #[test]
+    fn wedge_recovery_is_exact_at_every_rank() {
+        let src = "params N;
+            for (i = 0; i < N; i++)
+              for (j = i; j < N; j++)
+                for (k = 0; k <= j - i; k++)
+                { body(i, j, k); }";
+        let prog = crate::parse(src).unwrap();
+        let spec = CollapseSpec::new(&prog.to_nest().unwrap()).unwrap();
+        let names = ["i", "j", "k", "N"];
+        let mut floor_was_off = false;
+        for n in (4..=16).chain([50]) {
+            let formulas = build_formulas(&spec, &[n]).unwrap_or_else(|e| panic!("N = {n}: {e}"));
+            let collapsed = spec.bind(&[n]).unwrap();
+            for pc in 1..=collapsed.total() {
+                let bind = bindings(&[("pc", pc as f64), ("N", n as f64)]);
+                let exact = collapsed.unrank(pc);
+                floor_was_off |= formulas[0].expr.eval(&bind).re as i64 != exact[0];
+                let got = emitted_recovery(&formulas, &names, &[n], pc as i64);
+                assert_eq!(got, exact, "N = {n}, pc = {pc}");
+            }
+            let opts = crate::CodegenOptions {
+                sample_params: vec![n],
+                ..Default::default()
+            };
+            let code =
+                crate::generate_c(&prog, &spec, &opts).unwrap_or_else(|e| panic!("N = {n}: {e}"));
+            assert!(code.contains("body(i, j, k);"), "{code}");
+        }
+        assert!(
+            floor_was_off,
+            "the floor alone was exact: the correction went untested"
+        );
+    }
+
+    /// The paper's nests: the emitted recovery is exact at every rank
+    /// (the floored figure-6 formulas alone are one off at some ranks,
+    /// e.g. N = 5, pc = 10).
+    #[test]
+    fn paper_nests_recover_exactly_at_every_rank() {
+        for (nest, ns) in [
+            (NestSpec::correlation(), vec![2, 3, 50]),
+            (NestSpec::figure6(), vec![2, 5, 40]),
+        ] {
+            let spec = CollapseSpec::new(&nest).unwrap();
+            let names: Vec<&str> = nest.space().names().iter().map(String::as_str).collect();
+            for n in ns {
+                let formulas = build_formulas(&spec, &[n]).unwrap();
+                let collapsed = spec.bind(&[n]).unwrap();
+                for pc in 1..=collapsed.total() {
+                    let got = emitted_recovery(&formulas, &names, &[n], pc as i64);
+                    assert_eq!(got, collapsed.unrank(pc), "N = {n}, pc = {pc}");
+                }
+            }
+        }
+    }
+
+    /// The correction reaches the exact index from any start, however
+    /// far off, so recovery never depends on the branch choice.
+    #[test]
+    fn correction_steps_from_any_guess_to_the_exact_index() {
+        let spec = CollapseSpec::new(&NestSpec::figure6()).unwrap();
+        let formulas = build_formulas(&spec, &[9]).unwrap();
+        let collapsed = spec.bind(&[9]).unwrap();
+        for pc in 1..=collapsed.total() {
+            let exact = collapsed.unrank(pc);
+            for (k, f) in formulas.iter().enumerate().take(2) {
+                let mut point = exact.clone();
+                point.push(9);
+                for guess in [-100, -1, 0, exact[k] - 1, exact[k] + 1, 8, 100] {
+                    let got = f.int.correct(guess, &point, pc as i64);
+                    assert_eq!(got, exact[k], "pc = {pc}, level {k}, guess {guess}");
+                }
+            }
+        }
     }
 
     #[test]

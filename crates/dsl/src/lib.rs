@@ -19,7 +19,11 @@
 //!    call), with the convenient branch selected numerically the same
 //!    way the paper selects it with Maxima (`⌊x(1)⌋` = first index);
 //! 4. [`codegen`] — emission of the collapsed C (Fig. 3 naive / Fig. 4
-//!    chunked style, with OpenMP pragmas) and Rust sources.
+//!    chunked style, with OpenMP pragmas) and Rust sources. Each
+//!    floored root is followed by an exact integer correction against
+//!    the level's rank polynomial, and the innermost index and the
+//!    iteration count are exact integer expressions, so floating-point
+//!    error in the formulas never reaches the recovered indices.
 
 pub mod ast;
 pub mod codegen;

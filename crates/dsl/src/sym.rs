@@ -188,7 +188,10 @@ impl SymExpr {
             SymExpr::Sqrt(t) => format!("{}.sqrt()", t.to_rust()),
             SymExpr::Cbrt(t) => format!("{}.cbrt()", t.to_rust()),
             SymExpr::Re(t) => format!("{}.re", t.to_rust()),
-            SymExpr::Floor(t) => format!("({}).floor()", t.to_rust()),
+            SymExpr::Floor(t) => match **t {
+                SymExpr::Re(_) => format!("({}).floor()", t.to_rust()),
+                _ => format!("({}).re.floor()", t.to_rust()),
+            },
         }
     }
 }
