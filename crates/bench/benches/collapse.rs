@@ -37,16 +37,6 @@ fn bench_recoveries(c: &mut Criterion) {
             },
         );
     }
-    // The autotuner against the hand-picked grid above: the committed
-    // baseline must show `autotuned` matching or beating the best
-    // hand-picked id (within the gate's noise) on this kernel.
-    group.bench_function("autotuned", |b| {
-        b.iter(|| {
-            collapsed.runner(&pool).auto().run(|_t, p| {
-                sink.fetch_add(p[1] as u64, Ordering::Relaxed);
-            })
-        });
-    });
     group.finish();
     // Recovery-bound regime: small dynamic chunks force one recovery
     // per 32 iterations, so the compiled-vs-reference engine difference
@@ -73,21 +63,6 @@ fn bench_recoveries(c: &mut Criterion) {
             },
         );
     }
-    // `.auto()` overrides the deliberately recovery-bound Dynamic(32)
-    // hand-pick with the cost model's winner — the baseline shows it
-    // beating both ids above, i.e. the tuner rescues a bad hand-pick.
-    group.bench_function("autotuned", |b| {
-        b.iter(|| {
-            collapsed
-                .runner(&pool)
-                .schedule(Schedule::Dynamic(32))
-                .recovery(Recovery::Reference)
-                .auto()
-                .run(|_t, p| {
-                    sink.fetch_add(p[1] as u64, Ordering::Relaxed);
-                })
-        });
-    });
     group.finish();
     black_box(sink.load(Ordering::Relaxed));
 }

@@ -167,7 +167,7 @@ pub fn regressions(rows: &[Row]) -> Vec<&Row> {
 /// The ids present in the current run but absent from the committed
 /// baseline. The `bench_compare` binary fails on these too: a new id
 /// with no baseline has no 25%/30 ns gate at all, so letting it pass
-/// silently would let every freshly added bench (e.g. `autotuned/*`)
+/// silently would let every freshly added bench (e.g. `layer/row_walk/*`)
 /// dodge the perf trajectory until someone remembers to commit a
 /// baseline. The fix is always the same — refresh the committed
 /// baseline JSON in the same PR that adds the bench.

@@ -2,9 +2,7 @@
 
 use crate::ranking::Ranking;
 use crate::rowwalk::RowWalker;
-use crate::unrank::{
-    BoundLevel, EngineCalibration, LevelEngine, RecoveryCounters, RecoveryStats, MAX_DEPTH,
-};
+use crate::unrank::{BoundLevel, LevelEngine, RecoveryCounters, RecoveryStats, MAX_DEPTH};
 use nrl_poly::{CompiledPoly, IntPoly, Poly, SpecializedPoly};
 use nrl_polyhedra::{BoundNest, NestSpec};
 use nrl_rational::Rational;
@@ -197,13 +195,7 @@ impl CollapseSpec {
                 let bound = bind_poly(&self.level_polys[k], d, params);
                 let compiled = CompiledPoly::lower(&bound, k)
                     .expect("collapsible nests stay within the compiled-ladder capacity");
-                assemble_level(
-                    compiled,
-                    IntPoly::from_poly(&bound),
-                    k,
-                    &var_box,
-                    &EngineCalibration::STATIC,
-                )
+                assemble_level(compiled, IntPoly::from_poly(&bound), k, &var_box)
             })
             .collect();
         let rank_bound = bind_poly(self.ranking.rank_poly(), d, params);
@@ -235,27 +227,22 @@ impl CollapseSpec {
 /// (closed-form availability, i64-overflow proof, engine choice) that
 /// both [`CollapseSpec::bind_unchecked`] and
 /// [`ParamPlan::instantiate`](crate::plan::ParamPlan::instantiate)
-/// derive — shared so the two paths cannot diverge. The engine
-/// crossover runs on `calibration`: the committed constants for plain
-/// binds, or the plan-persisted microprobe measurement (see
-/// [`ParamPlan::calibrate_engines`](crate::plan::ParamPlan::calibrate_engines)).
+/// derive — shared so the two paths cannot diverge.
 pub(crate) fn assemble_level(
     compiled: CompiledPoly,
     rk: IntPoly,
     k: usize,
     var_box: &Option<IterBox>,
-    calibration: &EngineCalibration,
 ) -> BoundLevel {
     let closed_form = compiled.degree() <= MAX_DEGREE;
     let i64_safe = var_box
         .as_ref()
         .and_then(|b| compiled.magnitude_bound(&b.abs, b.abs.get(k).copied().unwrap_or(i64::MAX)))
         .is_some_and(|bnd| bnd <= i64::MAX as i128);
-    let engine = LevelEngine::choose_with(
+    let engine = LevelEngine::choose(
         compiled.degree(),
         var_box.as_ref().map(|b| b.width[k]),
         i64_safe,
-        calibration,
     );
     BoundLevel {
         compiled,
@@ -445,13 +432,6 @@ impl Collapsed {
     /// plan-vs-fresh-bind differential tests and overhead studies.
     pub fn level_i64_proven(&self, k: usize) -> bool {
         self.levels[k].i64_safe
-    }
-
-    /// Univariate degree of level `k`'s compiled recovery ladder (the
-    /// degree the engine crossover and the
-    /// [`strategy`](crate::strategy) cost model price probes at).
-    pub fn level_degree(&self, k: usize) -> usize {
-        self.levels[k].compiled.degree()
     }
 
     /// Whether the compiled `rank()` ladder's overflow proof succeeded

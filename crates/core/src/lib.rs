@@ -52,7 +52,6 @@ pub mod ranking;
 pub mod reduce;
 pub mod rowwalk;
 pub mod runner;
-pub mod strategy;
 pub mod unrank;
 
 pub use collapsed::{BindError, CollapseError, CollapseSpec, Collapsed, Unranker};
@@ -66,9 +65,8 @@ pub use reduce::{
     ReduceCounters, Reducer, Reduction,
 };
 pub use rowwalk::{RowSegment, RowWalker};
-pub use runner::{RunReport, Runner};
-pub use strategy::{ShapeProfile, Strategy, StrategyNode, TunedStrategy};
-pub use unrank::{EngineCalibration, LevelEngine, RecoveryStats};
+pub use runner::{RunReport, Runner, Strategy};
+pub use unrank::{LevelEngine, RecoveryStats};
 
 // Re-exports so downstream users need only one crate.
 pub use nrl_parfor::{RunOutcome, RunToken, Schedule, StopCause, ThreadPool};

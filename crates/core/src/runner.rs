@@ -59,8 +59,7 @@ use crate::reduce::{
     run_reduce_guarded_window, run_reduce_window, run_scan_rows_window, GuardedReducer, Reducer,
     Reduction,
 };
-use crate::strategy::{self, ShapeProfile, Strategy, TunedStrategy};
-use crate::unrank::{EngineCalibration, MAX_DEPTH};
+use crate::unrank::MAX_DEPTH;
 use nrl_parfor::{ImbalanceReport, RunOutcome, RunToken, Schedule, ThreadPool, WorkerLocal};
 use nrl_polyhedra::BoundNest;
 
@@ -72,13 +71,33 @@ impl Collapsed {
         Runner {
             collapsed: self,
             pool,
-            schedule: Schedule::Static,
-            recovery: Recovery::OncePerChunk,
+            schedule: Strategy::DEFAULT.schedule,
+            recovery: Strategy::DEFAULT.recovery,
             token: None,
             skip: 0,
             full: None,
         }
     }
+}
+
+/// The two execution axes a caller can pin: the chunk schedule and
+/// the index-recovery scheme.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Strategy {
+    /// Chunk schedule.
+    pub schedule: Schedule,
+    /// Index-recovery scheme.
+    pub recovery: Recovery,
+}
+
+impl Strategy {
+    /// The §V scheme every run uses unless an axis is pinned
+    /// ([`Schedule::Static`] + [`Recovery::OncePerChunk`] — the pair
+    /// [`Collapsed::runner`] starts from).
+    pub const DEFAULT: Strategy = Strategy {
+        schedule: Schedule::Static,
+        recovery: Recovery::OncePerChunk,
+    };
 }
 
 /// How a [`Runner::run`] ended: the [`RunOutcome`] (always
@@ -119,8 +138,7 @@ impl<'a> Runner<'a> {
         self
     }
 
-    /// Applies both strategy axes at once (the autotuner's unit of
-    /// configuration — see [`crate::strategy`]).
+    /// Applies both strategy axes at once.
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.schedule = strategy.schedule;
         self.recovery = strategy.recovery;
@@ -128,8 +146,7 @@ impl<'a> Runner<'a> {
     }
 
     /// The currently configured strategy pair (what [`run`](Self::run)
-    /// would execute) — introspection for the autotuner's differential
-    /// tests and the serve layer's reply tag.
+    /// would execute).
     pub fn strategy(&self) -> Strategy {
         Strategy {
             schedule: self.schedule,
@@ -137,32 +154,9 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Autotunes the schedule/recovery pair: profiles the collapsed
-    /// loop ([`ShapeProfile::measure`] — a few dozen unranks), runs
-    /// the bounded cost-model search against the committed
-    /// [`EngineCalibration::STATIC`] constants and this pool's thread
-    /// count, and applies the winner. Overrides whatever
-    /// [`schedule`](Self::schedule)/[`recovery`](Self::recovery) were
-    /// set before it.
-    ///
-    /// Plan-served callers should prefer the persisted winner
-    /// ([`ParamPlan::tune_strategy`](crate::ParamPlan::tune_strategy)
-    /// with [`auto_with`](Self::auto_with)): that path searches once
-    /// per (shape, context, params, machine) against the *measured*
-    /// microprobe constants and skips even the profiling on cache
-    /// hits. `.auto()` re-profiles per call — cheap (microseconds),
-    /// but not free.
+    /// `self.with_strategy(Strategy::DEFAULT)`: resets both axes to the §V default.
     pub fn auto(self) -> Self {
-        let profile = ShapeProfile::measure(self.collapsed);
-        let tuned = strategy::search(&profile, &EngineCalibration::STATIC, self.pool.nthreads());
-        self.with_strategy(tuned.strategy)
-    }
-
-    /// Applies a persisted autotune winner (the serve-layer path: the
-    /// plan cache hands back the
-    /// [`TunedStrategy`] its keyed slot stored).
-    pub fn auto_with(self, tuned: TunedStrategy) -> Self {
-        self.with_strategy(tuned.strategy)
+        self.with_strategy(Strategy::DEFAULT)
     }
 
     /// Attaches a cancellation/deadline token, polled at the executor's

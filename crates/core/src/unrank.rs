@@ -70,224 +70,15 @@ pub enum LevelEngine {
 /// quartic remains far more expensive.
 const CLOSED_FORM_PROBE_EQUIV: [u32; MAX_DEGREE + 1] = [0, 0, 14, 22, 60];
 
-/// How many timed probe solves the bind-time microprobe runs per
-/// closed-form degree (and, times [`MICROPROBE_PROBE_ROUNDS`], how
-/// many Horner probes it times against them).
-const MICROPROBE_SOLVES: usize = 8;
-
-/// Horner probes per timed solve: the search side of the crossover is
-/// much cheaper per operation, so it needs more repetitions for the
-/// same clock resolution.
-const MICROPROBE_PROBE_ROUNDS: usize = 16;
-
-/// Committed per-degree cost of one proven-`i64` Horner probe, in
-/// picoseconds (measured on the development machine alongside
-/// [`CLOSED_FORM_PROBE_EQUIV`]). Entries 0/1 stand in for the exact
-/// linear path's single specialized division, priced like a low-degree
-/// probe.
-const PROBE_PS_STATIC: [u32; MAX_DEGREE + 1] = [4_000, 4_000, 7_000, 9_000, 11_000];
-
-/// Committed per-chunk overhead in picoseconds: re-specializing every
-/// level's ladder at the chunk anchor's prefix plus the scheduling
-/// handshake (chunk fetch, done-counter publish).
-const CHUNK_PS_STATIC: u32 = 150_000;
-
-/// Clamp range for every microprobe-measured picosecond constant: a
-/// timing artifact (clock granularity, preemption) must not push a
-/// constant into a regime where the cost model's products overflow or
-/// degenerate to zero.
-const MICROPROBE_PS_CLAMP: (u32, u32) = (500, 50_000_000);
-
-/// The engine-crossover constants the bind-time decision runs on: the
-/// per-degree cost of one closed-form solve, measured in binary-search
-/// probes (see [`LevelEngine::choose_with`]).
-///
-/// [`EngineCalibration::STATIC`] is the committed default, calibrated
-/// once on the development machine. [`EngineCalibration::microprobe`]
-/// re-measures the ratio **on the running machine** by timing 8 probe
-/// solves per degree against Horner-sweep probes — a few microseconds,
-/// paid once and persisted inside a
-/// [`ParamPlan`](crate::plan::ParamPlan) so every `instantiate` of the
-/// shape reuses it (the plan-cache amortization argument applied to
-/// the calibration itself).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EngineCalibration {
-    /// Probe-equivalent cost of one closed-form solve, per degree
-    /// (indices 0/1 unused — those levels take the exact linear path).
-    probe_equiv: [u32; MAX_DEGREE + 1],
-    /// Picoseconds per proven-`i64` Horner probe, per degree (entries
-    /// 0/1 price the exact linear path). Unproven levels probe through
-    /// checked `i128` arithmetic at roughly 3× this.
-    probe_ps: [u32; MAX_DEGREE + 1],
-    /// Picoseconds per closed-form solve + exact verification, per
-    /// degree (0 where no closed form exists).
-    solve_ps: [u32; MAX_DEGREE + 1],
-    /// Per-chunk anchor/handshake overhead, picoseconds.
-    chunk_ps: u32,
-}
-
-impl EngineCalibration {
-    /// The committed constants (`CLOSED_FORM_PROBE_EQUIV` and the
-    /// development-machine picosecond costs).
-    pub const STATIC: EngineCalibration = EngineCalibration {
-        probe_equiv: CLOSED_FORM_PROBE_EQUIV,
-        probe_ps: PROBE_PS_STATIC,
-        solve_ps: [
-            0,
-            0,
-            CLOSED_FORM_PROBE_EQUIV[2] * PROBE_PS_STATIC[2],
-            CLOSED_FORM_PROBE_EQUIV[3] * PROBE_PS_STATIC[3],
-            CLOSED_FORM_PROBE_EQUIV[4] * PROBE_PS_STATIC[4],
-        ],
-        chunk_ps: CHUNK_PS_STATIC,
-    };
-
-    /// The probe-equivalent solve cost this calibration assigns to
-    /// `deg` (0 outside the closed-form degrees).
-    pub fn probe_equiv(&self, deg: usize) -> u32 {
-        self.probe_equiv.get(deg).copied().unwrap_or(0)
-    }
-
-    /// Picoseconds of one proven-`i64` Horner probe at degree `deg`
-    /// (degrees past [`MAX_DEGREE`] extrapolate linearly — a probe is
-    /// an `O(deg)` sweep).
-    pub fn probe_ps(&self, deg: usize) -> u64 {
-        match self.probe_ps.get(deg) {
-            Some(&ps) => ps as u64,
-            None => self.probe_ps[MAX_DEGREE] as u64 * deg as u64 / MAX_DEGREE as u64,
-        }
-    }
-
-    /// Picoseconds of one closed-form solve + exact verification at
-    /// degree `deg` (0 where no closed form exists).
-    pub fn solve_ps(&self, deg: usize) -> u64 {
-        self.solve_ps.get(deg).copied().unwrap_or(0) as u64
-    }
-
-    /// Per-chunk anchor/handshake overhead, picoseconds.
-    pub fn chunk_ps(&self) -> u64 {
-        self.chunk_ps as u64
-    }
-
-    /// Measures the solve/probe cost ratio on this machine: per
-    /// closed-form degree, a synthetic monotone ladder is solved
-    /// `MICROPROBE_SOLVES` (= 8) times through the closed-form path
-    /// and probed `MICROPROBE_SOLVES × MICROPROBE_PROBE_ROUNDS` times
-    /// through the Horner sweep; the ratio of the best-of-3 timings
-    /// (clamped to `[2, 255]`) replaces the committed constant.
-    ///
-    /// The same timings also yield the **absolute** per-strategy
-    /// constants the [`strategy`](crate::strategy) cost model runs on:
-    /// measured picoseconds per probe and per solve at each degree,
-    /// with the per-chunk overhead scaled from its committed value by
-    /// the measured/committed probe ratio (a machine-speed proxy — that
-    /// path is too entangled with the pool to microbenchmark in
-    /// isolation).
-    pub fn microprobe() -> EngineCalibration {
-        use nrl_poly::Poly;
-        let mut probe_equiv = CLOSED_FORM_PROBE_EQUIV;
-        let mut probe_ps = PROBE_PS_STATIC;
-        let mut solve_ps = EngineCalibration::STATIC.solve_ps;
-        // Wide enough that roots land mid-range, small enough that
-        // x^deg stays far from i64 overflow (deg 4 at 2^10 is 2^40).
-        let widths: [i64; MAX_DEGREE + 1] = [0, 0, 1 << 20, 1 << 13, 1 << 10];
-        for deg in 2..=MAX_DEGREE {
-            let x = Poly::var(1, 0);
-            // R(x) = x^deg + x: strictly increasing on x ≥ 0, integer
-            // coefficients, denominator 1.
-            let poly = x.pow(deg as u32) + Poly::var(1, 0);
-            let compiled = CompiledPoly::lower(&poly, 0).expect("tiny synthetic ladder");
-            let ub = widths[deg];
-            let i64_safe = compiled
-                .magnitude_bound(&[ub + 1], ub + 1)
-                .is_some_and(|b| b <= i64::MAX as i128);
-            let level = BoundLevel {
-                rk: IntPoly::from_poly(&poly),
-                closed_form: true,
-                i64_safe,
-                engine: LevelEngine::ClosedForm,
-                compiled,
-            };
-            let spec = level.specialize(&[0]);
-            let counters = RecoveryCounters::default();
-            // Targets spread across the range so solve work is typical.
-            let mut targets = [0i128; MICROPROBE_SOLVES];
-            for (i, t) in targets.iter_mut().enumerate() {
-                *t = spec.eval_int(ub / (MICROPROBE_SOLVES as i64 + 1) * (i as i64 + 1));
-            }
-            let mut solve_ns = u128::MAX;
-            let mut probe_ns = u128::MAX;
-            for _round in 0..3 {
-                let start = std::time::Instant::now();
-                for &pc in &targets {
-                    std::hint::black_box(level.recover_spec(
-                        &spec,
-                        0,
-                        ub,
-                        pc,
-                        &counters,
-                        LevelEngine::ClosedForm,
-                    ));
-                }
-                solve_ns = solve_ns.min(start.elapsed().as_nanos());
-                let start = std::time::Instant::now();
-                for r in 0..MICROPROBE_PROBE_ROUNDS as i64 {
-                    for &pc in &targets {
-                        // A representative probe: one Horner numerator
-                        // sweep at a data-dependent position.
-                        let at = ((pc as i64).unsigned_abs() % (ub as u64)) as i64 ^ (r & 1);
-                        std::hint::black_box(spec.eval_numer(std::hint::black_box(at)));
-                    }
-                }
-                probe_ns = probe_ns.min(start.elapsed().as_nanos());
-            }
-            let per_solve = solve_ns / MICROPROBE_SOLVES as u128;
-            let per_probe =
-                (probe_ns / (MICROPROBE_SOLVES * MICROPROBE_PROBE_ROUNDS) as u128).max(1);
-            probe_equiv[deg] = (per_solve / per_probe).clamp(2, 255) as u32;
-            let (lo, hi) = MICROPROBE_PS_CLAMP;
-            probe_ps[deg] = ((per_probe * 1000) as u64).clamp(lo as u64, hi as u64) as u32;
-            solve_ps[deg] = ((per_solve * 1000) as u64).clamp(lo as u64, hi as u64) as u32;
-        }
-        // The linear-path entries keep the committed deg-1/deg-2 ratio
-        // against the measured deg-2 probe; the chunk overhead scales by
-        // the same machine-speed proxy.
-        let measured_deg2 = probe_ps[2] as u64;
-        let scale = move |committed: u32| -> u32 {
-            let scaled = committed as u64 * measured_deg2 / PROBE_PS_STATIC[2] as u64;
-            let (lo, hi) = MICROPROBE_PS_CLAMP;
-            scaled.clamp(lo as u64, hi as u64) as u32
-        };
-        probe_ps[0] = scale(PROBE_PS_STATIC[0]);
-        probe_ps[1] = probe_ps[0];
-        EngineCalibration {
-            probe_equiv,
-            probe_ps,
-            solve_ps,
-            chunk_ps: scale(CHUNK_PS_STATIC),
-        }
-    }
-}
-
 impl LevelEngine {
     /// Picks the engine for a level of univariate degree `deg` whose
     /// search range is proven at most `width` values wide (`None` when
     /// the interval analysis overflowed — treated as unbounded).
     /// `i64_safe` scales the probe cost: unproven levels probe through
-    /// checked `i128` arithmetic, roughly 3× dearer. Runs on the
-    /// committed [`EngineCalibration::STATIC`] constants; plans that
-    /// ran the microprobe route through [`Self::choose_with`].
+    /// checked `i128` arithmetic, roughly 3× dearer. The crossover runs
+    /// on the committed `CLOSED_FORM_PROBE_EQUIV` constants, so the
+    /// choice depends only on the bound level, never on timing.
     pub fn choose(deg: usize, width: Option<i64>, i64_safe: bool) -> LevelEngine {
-        Self::choose_with(deg, width, i64_safe, &EngineCalibration::STATIC)
-    }
-
-    /// [`Self::choose`] against an explicit solve-cost calibration.
-    pub fn choose_with(
-        deg: usize,
-        width: Option<i64>,
-        i64_safe: bool,
-        calibration: &EngineCalibration,
-    ) -> LevelEngine {
         // Degree 0/1 levels never consult the engine (the exact linear
         // path runs first); report the search so introspection via
         // `Collapsed::level_engine` stays honest. Degrees beyond the
@@ -301,7 +92,7 @@ impl LevelEngine {
             _ => 63,
         };
         let probe_cost = if i64_safe { 1 } else { 3 };
-        if probes * probe_cost > calibration.probe_equiv(deg) {
+        if probes * probe_cost > CLOSED_FORM_PROBE_EQUIV[deg] {
             LevelEngine::ClosedForm
         } else {
             LevelEngine::BinarySearch
@@ -680,41 +471,6 @@ mod tests {
             i64_safe,
             engine: LevelEngine::ClosedForm,
         }
-    }
-
-    #[test]
-    fn choose_with_respects_calibration_bias() {
-        // The measured solve cost is the crossover knob: a machine
-        // where solves are cheap (low probe-equivalent) flips a width
-        // toward the closed form, a solve-hostile one toward the
-        // search — at the same degree, width, and overflow proof.
-        let cheap_solves = EngineCalibration {
-            probe_equiv: [0, 0, 4, 4, 4],
-            ..EngineCalibration::STATIC
-        };
-        let dear_solves = EngineCalibration {
-            probe_equiv: [0, 0, 200, 200, 200],
-            ..EngineCalibration::STATIC
-        };
-        // Width 100 ⇒ 7 probes: more than 4, fewer than 200.
-        assert_eq!(
-            LevelEngine::choose_with(2, Some(100), true, &cheap_solves),
-            LevelEngine::ClosedForm
-        );
-        assert_eq!(
-            LevelEngine::choose_with(2, Some(100), true, &dear_solves),
-            LevelEngine::BinarySearch
-        );
-        // The static path is literally choose_with on STATIC.
-        assert_eq!(
-            LevelEngine::choose(2, Some(100), true),
-            LevelEngine::choose_with(2, Some(100), true, &EngineCalibration::STATIC)
-        );
-        // Degrees without a closed form ignore the calibration.
-        assert_eq!(
-            LevelEngine::choose_with(5, Some(1 << 40), true, &cheap_solves),
-            LevelEngine::BinarySearch
-        );
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! affine nests (with validated domains), ranking is a bijection onto
 //! `1..=total`, unranking inverts it exactly, and every executor
 //! produces the same iteration multiset as the sequential reference.
+//! `Runner::auto` and `Runner::with_strategy` are held to the same bar.
 
-use nrl_core::{run_seq, CollapseSpec, Recovery, Schedule, ThreadPool};
+use nrl_core::{reducer, run_seq, CollapseSpec, Recovery, Schedule, ThreadPool};
 use nrl_polyhedra::{NestSpec, Space};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -181,4 +182,108 @@ proptest! {
             );
         }
     }
+}
+
+/// A triangular chain of the given depth: `i1 in 0..=N−1`, then each
+/// `ik in 0..=i_{k−1}+1`. Depth ≥ 5 pushes the ranking polynomial past
+/// the closed-form degree limit.
+fn chain_nest(depth: usize) -> NestSpec {
+    let names: Vec<String> = (1..=depth).map(|k| format!("i{k}")).collect();
+    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let s = Space::new(&name_refs, &["N"]);
+    let mut levels = vec![(s.cst(0), s.var("N") - 1)];
+    for k in 1..depth {
+        levels.push((s.cst(0), s.var(&names[k - 1]) + 1));
+    }
+    NestSpec::new(s, levels).expect("chain nest is well-formed")
+}
+
+/// Σ over the domain of a point hash, as an order-sensitive f64 fold:
+/// bit-equality of two reductions means identical values folded in an
+/// identical chunk structure.
+fn point_hash_sum() -> impl nrl_core::Reducer<f64> {
+    reducer(
+        || 0.0f64,
+        |_tid, p: &[i64], acc: &mut f64| {
+            let mut h = 1.0f64;
+            for (k, &x) in p.iter().enumerate() {
+                h = h * 1.31 + (x as f64) * (k + 1) as f64;
+            }
+            *acc += h;
+        },
+        |a, b| a + b,
+    )
+}
+
+#[test]
+fn auto_covers_the_domain_exactly() {
+    for depth in 1..=6usize {
+        let nest = chain_nest(depth);
+        let n = if depth >= 5 { 3 } else { 6 };
+        let collapsed = CollapseSpec::new(&nest).unwrap().bind(&[n]).unwrap();
+        let expect: Vec<Vec<i64>> = nest.enumerate(&[n]).collect();
+        for workers in [1usize, 3, 8] {
+            let pool = ThreadPool::new(workers);
+            let seen = Mutex::new(Vec::new());
+            collapsed.runner(&pool).auto().run(|_tid, p| {
+                seen.lock().unwrap().push(p.to_vec());
+            });
+            let mut got = seen.into_inner().unwrap();
+            got.sort();
+            assert_eq!(
+                got, expect,
+                "depth {depth} workers {workers}: auto run missed/duplicated points"
+            );
+        }
+    }
+}
+
+#[test]
+fn auto_is_bit_identical_to_the_default_strategy() {
+    let sum = point_hash_sum();
+    for depth in 1..=6usize {
+        let nest = chain_nest(depth);
+        let n = if depth >= 5 { 4 } else { 7 };
+        let collapsed = CollapseSpec::new(&nest).unwrap().bind(&[n]).unwrap();
+        for workers in [1usize, 3, 8] {
+            let pool = ThreadPool::new(workers);
+            // `.auto()` overrides whatever was pinned before it.
+            let auto = collapsed
+                .runner(&pool)
+                .schedule(Schedule::Dynamic(3))
+                .recovery(Recovery::Naive)
+                .auto();
+            assert_eq!(auto.strategy(), nrl_core::Strategy::DEFAULT);
+            let default = collapsed
+                .runner(&pool)
+                .with_strategy(nrl_core::Strategy::DEFAULT);
+            assert_eq!(
+                auto.reduce(&sum).value.to_bits(),
+                default.reduce(&sum).value.to_bits(),
+                "depth {depth} workers {workers}: .auto() diverged from Strategy::DEFAULT"
+            );
+        }
+    }
+}
+
+#[test]
+fn with_strategy_matches_explicit_schedule_and_recovery() {
+    let nest = NestSpec::correlation();
+    let collapsed = CollapseSpec::new(&nest).unwrap().bind(&[40]).unwrap();
+    let pool = ThreadPool::new(3);
+    let strategy = nrl_core::Strategy {
+        schedule: Schedule::Dynamic(16),
+        recovery: Recovery::BinarySearch,
+    };
+    let sum = point_hash_sum();
+    let via_strategy = collapsed.runner(&pool).with_strategy(strategy);
+    let explicit = collapsed
+        .runner(&pool)
+        .schedule(Schedule::Dynamic(16))
+        .recovery(Recovery::BinarySearch);
+    assert_eq!(
+        via_strategy.reduce(&sum).value.to_bits(),
+        explicit.reduce(&sum).value.to_bits()
+    );
+    assert_eq!(via_strategy.strategy(), strategy);
 }

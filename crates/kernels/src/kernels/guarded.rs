@@ -152,12 +152,6 @@ impl Kernel for GuardedNest {
                     .token(token)
                     .run_guarded(|_tid, p, pos| self.visit(p, pos));
             }
-            Mode::Auto { pool } => {
-                self.collapsed
-                    .runner(pool)
-                    .auto()
-                    .run_guarded(|_tid, p, pos| self.visit(p, pos));
-            }
             Mode::Outer { .. } | Mode::Warp { .. } | Mode::Served { .. } => {
                 panic!("guarded kernels support Seq and Collapsed modes only")
             }

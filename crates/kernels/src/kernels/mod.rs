@@ -47,27 +47,15 @@ pub(crate) fn build_collapse(nest: &NestSpec, params: &[i64]) -> (BoundNest, Col
         .instantiate(params)
         .expect("kernel domain must have non-negative trip counts");
     if PLAN_VERIFY.load(Ordering::Relaxed) {
-        // A microprobe-calibrated plan may legitimately pick different
-        // per-level engines than a fresh bind (which always uses the
-        // committed crossover constants); engine equality is only a
-        // fidelity invariant for uncalibrated plans. Results are
-        // engine-independent, so the unrank/rank sweep still applies.
-        let check_engines = plan.engine_calibration().is_none();
-        verify_against_fresh_bind(nest, params, &collapsed, check_engines);
+        verify_against_fresh_bind(nest, params, &collapsed);
     }
     (nest.bind(params), collapsed)
 }
 
 /// Asserts a cache-served [`Collapsed`] is bit-identical to binding the
-/// concretized nest from scratch: totals, overflow proofs, a sampled
-/// unrank/rank sweep, and — for uncalibrated plans (`check_engines`) —
-/// the per-level engine choices.
-fn verify_against_fresh_bind(
-    nest: &NestSpec,
-    params: &[i64],
-    cached: &Collapsed,
-    check_engines: bool,
-) {
+/// concretized nest from scratch: totals, per-level engine choices,
+/// overflow proofs, and a sampled unrank/rank sweep.
+fn verify_against_fresh_bind(nest: &NestSpec, params: &[i64], cached: &Collapsed) {
     let fresh = CollapseSpec::new(nest)
         .expect("kernel nest within supported depth")
         .bind(params)
@@ -79,13 +67,11 @@ fn verify_against_fresh_bind(
         "plan-vs-fresh rank overflow proof"
     );
     for k in 0..nest.depth() {
-        if check_engines {
-            assert_eq!(
-                cached.level_engine(k),
-                fresh.level_engine(k),
-                "plan-vs-fresh engine at level {k}"
-            );
-        }
+        assert_eq!(
+            cached.level_engine(k),
+            fresh.level_engine(k),
+            "plan-vs-fresh engine at level {k}"
+        );
         assert_eq!(
             cached.level_i64_proven(k),
             fresh.level_i64_proven(k),
@@ -103,29 +89,5 @@ fn verify_against_fresh_bind(
         assert_eq!(a, b, "plan-vs-fresh unrank({pc})");
         assert_eq!(cached.rank(&a), fresh.rank(&a), "plan-vs-fresh rank");
         pc += step;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fidelity_mode_tolerates_calibrated_plans() {
-        // A microprobe-calibrated plan may pick different engines than
-        // a fresh bind; fidelity verification must keep every other
-        // assertion (totals, proofs, unrank/rank sweep) and skip only
-        // the engine-equality check instead of panicking on a
-        // semantically identical instance. Unique extents keep this
-        // shape's cache entry out of the other tests' way.
-        let nest = NestSpec::rectangular(&[9, 4]);
-        let plan = PlanCache::global()
-            .get_or_analyze(&nest, PlanContext::default())
-            .unwrap();
-        plan.calibrate_engines();
-        crate::registry::set_plan_verification(true);
-        let (_, collapsed) = build_collapse(&nest, &[]);
-        crate::registry::set_plan_verification(false);
-        assert_eq!(collapsed.total(), 36);
     }
 }

@@ -65,29 +65,15 @@ pub const QUARANTINE_THRESHOLD: u32 = 3;
 
 /// The execution context a plan is cached under. The symbolic plan
 /// itself is schedule-independent today, but the key space reserves
-/// the axes future context-specialized plans (per-engine calibration,
-/// schedule-shaped chunk hints) will occupy — and keeps ablation runs
-/// from sharing entries with production ones.
+/// the axes future context-specialized plans (schedule-shaped chunk
+/// hints) will occupy — and keeps ablation runs from sharing entries
+/// with production ones.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct PlanContext {
     /// Schedule the plan will execute under (`None` = unspecified).
     pub schedule: Option<Schedule>,
     /// Recovery mode the plan will execute under (`None` = unspecified).
     pub recovery: Option<Recovery>,
-}
-
-impl PlanContext {
-    /// The opaque `u64` discriminator of this context — the key of the
-    /// plan's per-context autotune slot
-    /// ([`ParamPlan::tuned_strategy`]/[`ParamPlan::tune_strategy`]
-    /// take it; `nrl_core` cannot see `PlanContext` itself, the
-    /// dependency points the other way). Deterministic within one
-    /// process; equal contexts always produce equal keys.
-    pub fn key(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        h.finish()
-    }
 }
 
 /// Any failure along the cached collapse path.
@@ -540,28 +526,9 @@ impl PlanCache {
         ctx: PlanContext,
         params: &[i64],
     ) -> Result<Collapsed, PlanError> {
-        let (_plan, collapsed) = self.collapse_coalesced_with_plan(nest, ctx, params)?;
-        Ok(collapsed)
-    }
-
-    /// [`Self::collapse_coalesced`], additionally handing back the
-    /// resolved plan: the autotuning service front needs the plan
-    /// alive after instantiation to consult/fill its persisted
-    /// per-context strategy slot
-    /// ([`ParamPlan::tune_strategy`]) — re-resolving would double the
-    /// cache traffic and skew the hit counters.
-    pub fn collapse_coalesced_with_plan(
-        &self,
-        nest: &NestSpec,
-        ctx: PlanContext,
-        params: &[i64],
-    ) -> Result<(Arc<ParamPlan>, Collapsed), PlanError> {
         let plan = self.get_or_analyze_coalesced(nest, ctx)?;
-        let collapsed = {
-            let _inst = obs::span("plan", "plan.instantiate");
-            plan.instantiate(params)?
-        };
-        Ok((plan, collapsed))
+        let _inst = obs::span("plan", "plan.instantiate");
+        Ok(plan.instantiate(params)?)
     }
 }
 
@@ -733,51 +700,6 @@ mod tests {
                 assert_eq!(cached.unrank(pc), fresh.unrank(pc), "N={n} pc={pc}");
             }
         }
-    }
-
-    #[test]
-    fn context_keys_discriminate_contexts() {
-        let plain = PlanContext::default();
-        let pinned = PlanContext {
-            schedule: Some(Schedule::Dynamic(8)),
-            recovery: Some(Recovery::BinarySearch),
-        };
-        assert_eq!(plain.key(), PlanContext::default().key());
-        assert_eq!(pinned.key(), pinned.key());
-        assert_ne!(plain.key(), pinned.key());
-    }
-
-    #[test]
-    fn with_plan_returns_the_cached_plan_and_a_working_collapse() {
-        let cache = PlanCache::new(2, 4);
-        let nest = NestSpec::correlation();
-        let ctx = PlanContext::default();
-        let (plan, collapsed) = cache
-            .collapse_coalesced_with_plan(&nest, ctx, &[100])
-            .unwrap();
-        assert_eq!(collapsed.total(), 99 * 100 / 2);
-        let again = cache.get_or_analyze(&nest, ctx).unwrap();
-        assert!(
-            Arc::ptr_eq(&plan, &again),
-            "the handed-back plan must be the cache-resident one"
-        );
-        // The plan Arc is live after instantiation, so the autotune slot
-        // written through it is seen by the next resolve.
-        let key = ctx.key();
-        assert!(plan.tuned_strategy(key, &[100]).is_none());
-        let (tuned, fresh) = plan.tune_strategy_with(
-            key,
-            &[100],
-            &collapsed,
-            4,
-            &nrl_core::EngineCalibration::STATIC,
-        );
-        assert!(fresh, "first tune must run the search");
-        assert_eq!(plan.tuned_strategy(key, &[100]), Some(tuned));
-        let (plan2, _) = cache
-            .collapse_coalesced_with_plan(&nest, ctx, &[100])
-            .unwrap();
-        assert_eq!(plan2.tuned_strategy(key, &[100]), Some(tuned));
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod metrics;
 pub mod request;
 pub mod service;
 
-pub use metrics::{AutotuneMetrics, LatencyMetrics, ServeMetrics, TenantStats};
+pub use metrics::{LatencyMetrics, ServeMetrics, TenantStats};
 pub use request::{
     CollapseRequest, CollapseResponse, RejectReason, RunReply, RunRequest, RunWork, ServeError,
     ServeReducer, Tenant,

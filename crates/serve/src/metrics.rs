@@ -14,12 +14,11 @@
 //! stress bins assert are documented in `docs/COUNTERS.md`.
 
 use crate::request::Tenant;
-use nrl_core::{RecoveryStats, Strategy};
+use nrl_core::RecoveryStats;
 use nrl_obs::{Hist, SharedHist};
 use nrl_plan::CacheStats;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// Per-tenant admission and outcome counters.
 ///
@@ -97,31 +96,6 @@ impl LatencyMetrics {
     }
 }
 
-/// Autotuner decision counters: how often the bounded strategy search
-/// actually ran (slot misses — cache hits and pre-warmed plans skip
-/// it), which strategies won, and how the cost model's predictions
-/// compare to the pool time the dispatcher measured.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AutotuneMetrics {
-    /// Fresh strategy searches performed (a request whose context
-    /// doesn't pin both execution axes and whose plan had no persisted
-    /// winner for its `(context, params)` slot).
-    pub searches: u64,
-    /// Executed runs whose schedule/recovery came (at least in part)
-    /// from the autotuner rather than the request context.
-    pub auto_runs: u64,
-    /// Σ of the cost model's predicted main-loop time over those runs
-    /// (nanoseconds).
-    pub predicted_ns: u64,
-    /// Σ of the dispatcher-measured pool-execution time over the same
-    /// runs (nanoseconds) — compare with
-    /// [`predicted_ns`](Self::predicted_ns) for model fidelity.
-    pub measured_ns: u64,
-    /// How many searches each winning strategy label won, ordered by
-    /// label.
-    pub chosen: Vec<(String, u64)>,
-}
-
 /// One full metrics snapshot (see the [module docs](self)).
 #[derive(Clone, Debug)]
 pub struct ServeMetrics {
@@ -143,8 +117,6 @@ pub struct ServeMetrics {
     pub queue_capacity: usize,
     /// Per-verb and per-phase latency histograms.
     pub latency: LatencyMetrics,
-    /// Autotuner decisions and prediction fidelity.
-    pub autotune: AutotuneMetrics,
 }
 
 impl ServeMetrics {
@@ -176,15 +148,6 @@ impl ServeMetrics {
             r.spec_cache_hit,
             r.spec_cache_miss
         );
-        let a = &self.autotune;
-        let _ = writeln!(
-            out,
-            "autotune: searches {} auto_runs {} predicted_ns {} measured_ns {}",
-            a.searches, a.auto_runs, a.predicted_ns, a.measured_ns
-        );
-        for (label, wins) in &a.chosen {
-            let _ = writeln!(out, "autotune.winner: {label} searches {wins}");
-        }
         for (tenant, t) in &self.tenants {
             let _ = writeln!(
                 out,
@@ -229,57 +192,6 @@ impl LatencyTotals {
             resolve: self.resolve.snapshot(),
             queue_wait: self.queue_wait.snapshot(),
             exec: self.exec.snapshot(),
-        }
-    }
-}
-
-/// The live (recording) side of [`AutotuneMetrics`]: counters recorded
-/// by the verbs (searches) and the dispatcher (auto-run outcomes).
-#[derive(Default)]
-pub(crate) struct AutotuneTotals {
-    searches: AtomicU64,
-    auto_runs: AtomicU64,
-    predicted_ns: AtomicU64,
-    measured_ns: AtomicU64,
-    chosen: Mutex<Vec<(Strategy, u64)>>,
-}
-
-impl AutotuneTotals {
-    /// A fresh search ran and `winner` won it.
-    pub(crate) fn record_search(&self, winner: Strategy) {
-        self.searches.fetch_add(1, Ordering::Relaxed);
-        let mut chosen = self.chosen.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, wins)) = chosen.iter_mut().find(|(s, _)| *s == winner) {
-            *wins += 1;
-        } else {
-            chosen.push((winner, 1));
-        }
-    }
-
-    /// The dispatcher finished a run whose strategy the autotuner
-    /// chose: fold the model's prediction and the measured pool time
-    /// into the fidelity aggregates.
-    pub(crate) fn record_auto_run(&self, predicted_ns: u64, measured_ns: u64) {
-        self.auto_runs.fetch_add(1, Ordering::Relaxed);
-        self.predicted_ns.fetch_add(predicted_ns, Ordering::Relaxed);
-        self.measured_ns.fetch_add(measured_ns, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> AutotuneMetrics {
-        let mut chosen: Vec<(String, u64)> = self
-            .chosen
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(s, wins)| (s.label(), *wins))
-            .collect();
-        chosen.sort();
-        AutotuneMetrics {
-            searches: self.searches.load(Ordering::Relaxed),
-            auto_runs: self.auto_runs.load(Ordering::Relaxed),
-            predicted_ns: self.predicted_ns.load(Ordering::Relaxed),
-            measured_ns: self.measured_ns.load(Ordering::Relaxed),
-            chosen,
         }
     }
 }

@@ -8,7 +8,7 @@
 //! `repr(u32)`) so an `extern "C"` shim can map them without
 //! re-encoding.
 
-use nrl_core::{Collapsed, Recovery, RecoveryStats, Strategy};
+use nrl_core::{Collapsed, Recovery, RecoveryStats};
 use nrl_parfor::{RunOutcome, Schedule};
 use nrl_plan::{PlanContext, PlanError};
 use nrl_polyhedra::NestSpec;
@@ -261,11 +261,6 @@ pub struct RunReply {
     /// filtered down to one request's timeline. Never 0 for an
     /// executed run.
     pub trace_id: u64,
-    /// The (schedule, recovery) pair the run actually executed under
-    /// when the autotuner chose any axis of it (the request context
-    /// left schedule and/or recovery unpinned). `None` = the caller
-    /// pinned both axes and the tuner stayed out of the way.
-    pub strategy: Option<Strategy>,
 }
 
 /// What a successfully served request produced.

@@ -39,16 +39,14 @@
 //! `Quarantined` plan error for coalesced waiters). No service thread
 //! dies; no lock is poisoned.
 
-use crate::metrics::{
-    stats_delta, AutotuneTotals, LatencyTotals, RecoveryTotals, ServeMetrics, TenantStats,
-};
+use crate::metrics::{stats_delta, LatencyTotals, RecoveryTotals, ServeMetrics, TenantStats};
 use crate::request::{
     CollapseRequest, RejectReason, RunReply, RunRequest, RunWork, ServeError, ServeReducer, Tenant,
 };
-use nrl_core::{Collapsed, Recovery, Reducer, Strategy, TunedStrategy};
+use nrl_core::{Collapsed, Recovery, Reducer, Strategy};
 use nrl_obs::{now_ns, span_traced, TraceId};
 use nrl_parfor::{BoundedQueue, QueueFull, RunOutcome, RunToken, Schedule, ThreadPool};
-use nrl_plan::{ParamPlan, PlanCache};
+use nrl_plan::PlanCache;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -179,10 +177,6 @@ struct Job {
     token: RunToken,
     work: WorkPtr,
     slot: Arc<ResponseSlot>,
-    /// `Some` when the autotuner chose any axis of the execution
-    /// configuration — carries the winner's predicted cost so the
-    /// dispatcher can fold prediction-vs-measurement into the metrics.
-    tuned: Option<TunedStrategy>,
     /// The request's end-to-end trace id (tags every span the request
     /// emits; surfaced in [`RunReply::trace_id`]).
     trace: u64,
@@ -204,8 +198,6 @@ struct Shared {
     queue_depth_max: AtomicU64,
     /// Completed pool runs (all outcomes), for the demo/stress tools.
     runs: AtomicU64,
-    /// Autotuner decision counters and prediction-fidelity aggregates.
-    autotune: AutotuneTotals,
 }
 
 impl Shared {
@@ -241,7 +233,6 @@ impl CollapseService {
             latency: LatencyTotals::default(),
             queue_depth_max: AtomicU64::new(0),
             runs: AtomicU64::new(0),
-            autotune: AutotuneTotals::default(),
         });
         let dispatcher = {
             let shared = Arc::clone(&shared);
@@ -261,20 +252,13 @@ impl CollapseService {
     /// Serves a bind-only request: coalesced plan resolution plus
     /// instantiation, on the caller thread. The returned handle stays
     /// valid regardless of later cache evictions.
-    ///
-    /// Binding also **pre-warms the autotuner**: when the request
-    /// context doesn't pin both execution axes, the engine calibration
-    /// and the bounded strategy search run here, on the caller thread,
-    /// and the winner persists in the plan's per-context slot — so the
-    /// first `run` of a bind-then-run frontend pays neither.
     pub fn bind(&self, request: &CollapseRequest) -> Result<Arc<Collapsed>, ServeError> {
         let trace = TraceId::next().0;
         let _verb = span_traced("serve", "serve.bind", trace);
         let t_verb = now_ns();
         self.admit(request.tenant)?;
         match self.resolve(request, trace) {
-            Ok((plan, collapsed)) => {
-                self.autotune(&plan, request, &collapsed);
+            Ok(collapsed) => {
                 self.shared.with_tenant(request.tenant, |t| {
                     t.inflight -= 1;
                     t.bound += 1;
@@ -304,12 +288,8 @@ impl CollapseService {
     /// deterministic reduction value.
     ///
     /// `request.ctx.schedule` / `request.ctx.recovery` configure the
-    /// execution. An axis the context leaves unpinned is filled by the
-    /// **autotuner**: the plan's persisted per-context winner (searched
-    /// once per `(context, params)` slot, served from the slot on every
-    /// later request — see `docs/AUTOTUNER.md`). The reply's
-    /// [`strategy`](RunReply::strategy) tag reports the pair the run
-    /// actually executed under whenever the tuner participated.
+    /// execution; an axis the context leaves unpinned comes from
+    /// [`Strategy::DEFAULT`].
     pub fn submit(
         &self,
         request: &CollapseRequest,
@@ -328,7 +308,7 @@ impl CollapseService {
         );
         let t_verb = now_ns();
         self.admit(request.tenant)?;
-        let (plan, collapsed) = match self.resolve(request, trace) {
+        let collapsed = match self.resolve(request, trace) {
             Ok(resolved) => resolved,
             Err(e) => {
                 self.shared.with_tenant(request.tenant, |t| {
@@ -338,16 +318,14 @@ impl CollapseService {
                 return Err(e);
             }
         };
-        let tuned = self.autotune(&plan, request, &collapsed);
-        let auto = tuned.map(|t| t.strategy).unwrap_or(Strategy::DEFAULT);
         let run = RunRequest {
             tenant: request.tenant,
-            schedule: request.ctx.schedule.unwrap_or(auto.schedule),
-            recovery: request.ctx.recovery.unwrap_or(auto.recovery),
+            schedule: request.ctx.schedule.unwrap_or(Strategy::DEFAULT.schedule),
+            recovery: request.ctx.recovery.unwrap_or(Strategy::DEFAULT.recovery),
             deadline: request.deadline,
             work,
         };
-        let reply = self.enqueue_and_wait(&collapsed, run, trace, tuned)?;
+        let reply = self.enqueue_and_wait(&collapsed, run, trace)?;
         let verb_hist = if is_reduce {
             &self.shared.latency.reduce
         } else {
@@ -399,7 +377,7 @@ impl CollapseService {
         );
         let t_verb = now_ns();
         self.admit(request.tenant)?;
-        let reply = self.enqueue_and_wait(collapsed, request, trace, None)?;
+        let reply = self.enqueue_and_wait(collapsed, request, trace)?;
         let verb_hist = if is_reduce {
             &self.shared.latency.reduce
         } else {
@@ -421,7 +399,6 @@ impl CollapseService {
             queue_depth_max: self.shared.queue_depth_max.load(Ordering::Relaxed),
             queue_capacity: self.shared.queue.capacity(),
             latency: self.shared.latency.snapshot(),
-            autotune: self.shared.autotune.snapshot(),
         }
     }
 
@@ -451,19 +428,13 @@ impl CollapseService {
     }
 
     /// Coalesced plan resolution + instantiation, with analysis panics
-    /// contained at the service boundary (see [`ServeError`]). Hands
-    /// the resolved plan back alongside the instantiation so the verbs
-    /// can consult/fill its persisted autotune slot.
-    fn resolve(
-        &self,
-        request: &CollapseRequest,
-        trace: u64,
-    ) -> Result<(Arc<ParamPlan>, Collapsed), ServeError> {
+    /// contained at the service boundary (see [`ServeError`]).
+    fn resolve(&self, request: &CollapseRequest, trace: u64) -> Result<Collapsed, ServeError> {
         let _span = span_traced("serve", "serve.resolve", trace);
         let t0 = now_ns();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             self.cache
-                .collapse_coalesced_with_plan(&request.nest, request.ctx, &request.params)
+                .collapse_coalesced(&request.nest, request.ctx, &request.params)
         }));
         self.shared
             .latency
@@ -475,40 +446,12 @@ impl CollapseService {
         }
     }
 
-    /// Consults — filling on a miss — the plan's persisted per-context
-    /// autotune slot, for requests whose context leaves an execution
-    /// axis unpinned. Returns `None` when the caller pinned both axes
-    /// (the tuner must not override an explicit choice). A fresh
-    /// search (slot miss) bumps the `autotune.searches` counter; slot
-    /// hits are free.
-    fn autotune(
-        &self,
-        plan: &ParamPlan,
-        request: &CollapseRequest,
-        collapsed: &Collapsed,
-    ) -> Option<TunedStrategy> {
-        if request.ctx.schedule.is_some() && request.ctx.recovery.is_some() {
-            return None;
-        }
-        let (tuned, fresh) = plan.tune_strategy(
-            request.ctx.key(),
-            &request.params,
-            collapsed,
-            self.shared.pool.nthreads(),
-        );
-        if fresh {
-            self.shared.autotune.record_search(tuned.strategy);
-        }
-        Some(tuned)
-    }
-
     /// Queues one execution and parks until the dispatcher replies.
     fn enqueue_and_wait(
         &self,
         collapsed: &Collapsed,
         request: RunRequest<'_>,
         trace: u64,
-        tuned: Option<TunedStrategy>,
     ) -> Result<RunReply, ServeError> {
         let tenant = request.tenant;
         // The token is armed *now*: queue wait counts against the
@@ -543,7 +486,6 @@ impl CollapseService {
             token,
             work,
             slot: Arc::clone(&slot),
-            tuned,
             trace,
             enq_ns: now_ns(),
         };
@@ -630,9 +572,6 @@ fn dispatcher_loop(shared: Arc<Shared>) {
         let exec_ns = now_ns().saturating_sub(t_exec);
         shared.latency.exec.record(exec_ns);
         shared.runs.fetch_add(1, Ordering::Relaxed);
-        if let Some(tuned) = job.tuned {
-            shared.autotune.record_auto_run(tuned.predicted_ns, exec_ns);
-        }
         let reply = match ran {
             Ok((outcome, reduced)) => {
                 let delta = stats_delta(&before, &collapsed.stats());
@@ -644,10 +583,6 @@ fn dispatcher_loop(shared: Arc<Shared>) {
                     queue_wait: Duration::from_nanos(queue_wait_ns),
                     exec_time: Duration::from_nanos(exec_ns),
                     trace_id: job.trace,
-                    strategy: job.tuned.map(|_| Strategy {
-                        schedule: job.schedule,
-                        recovery: job.recovery,
-                    }),
                 })
             }
             // The pool already recovered (the panic re-threw here after
@@ -998,73 +933,24 @@ mod tests {
     }
 
     #[test]
-    fn autotuner_fills_unpinned_axes_and_counts_one_search() {
-        let service = CollapseService::new(ServeConfig::default());
-        let r1 = service.run(&request(100, 20), &|_, _| {}).unwrap();
-        let tag = r1.strategy.expect("an unpinned context must be autotuned");
-        let r2 = service.run(&request(100, 20), &|_, _| {}).unwrap();
-        assert_eq!(r2.strategy, Some(tag), "the persisted winner is stable");
-        let m = service.metrics();
-        assert_eq!(
-            m.autotune.searches, 1,
-            "the second run must hit the persisted slot"
-        );
-        assert_eq!(m.autotune.auto_runs, 2);
-        assert!(m.autotune.measured_ns > 0, "executed runs take time");
-        assert_eq!(m.autotune.chosen, vec![(tag.label(), 1)]);
-        let report = m.report();
-        assert!(report.contains("autotune: searches 1 auto_runs 2"));
-        assert!(report.contains(&format!("autotune.winner: {} searches 1", tag.label())));
-    }
-
-    #[test]
-    fn pinned_contexts_bypass_the_autotuner() {
-        let service = CollapseService::new(ServeConfig::default());
-        let ctx = nrl_plan::PlanContext {
-            schedule: Some(Schedule::Dynamic(16)),
-            recovery: Some(Recovery::BinarySearch),
-        };
-        let reply = service
-            .run(&request(100, 21).with_ctx(ctx), &|_, _| {})
-            .unwrap();
-        assert_eq!(
-            reply.strategy, None,
-            "a fully pinned context leaves no room for the tuner"
-        );
-        let m = service.metrics();
-        assert_eq!((m.autotune.searches, m.autotune.auto_runs), (0, 0));
-    }
-
-    #[test]
-    fn bind_prewarms_the_strategy_slot() {
-        let service = CollapseService::new(ServeConfig::default());
-        let _bound = service.bind(&request(100, 22)).unwrap();
-        assert_eq!(
-            service.metrics().autotune.searches,
-            1,
-            "bind must pre-warm the search"
-        );
-        let reply = service.run(&request(100, 22), &|_, _| {}).unwrap();
-        assert!(reply.strategy.is_some());
-        assert_eq!(
-            service.metrics().autotune.searches,
-            1,
-            "the run must reuse the pre-warmed winner"
-        );
-    }
-
-    #[test]
     fn half_pinned_contexts_keep_the_pinned_axis() {
+        // Each schedule chunk recovers one anchor, so the engine
+        // buckets of a run's recovery delta tell which schedule ran.
+        // An unpinned axis must run as `Strategy::DEFAULT`'s.
         let service = CollapseService::new(ServeConfig::default());
-        let ctx = nrl_plan::PlanContext {
-            schedule: Some(Schedule::Dynamic(16)),
-            recovery: None,
+        let anchors = |schedule, recovery| {
+            let ctx = nrl_plan::PlanContext { schedule, recovery };
+            let r = service
+                .run(&request(100, 23).with_ctx(ctx), &|_, _| {})
+                .unwrap()
+                .recovery;
+            r.closed_form_exact + r.corrected + r.binary_search + r.linear_exact
         };
-        let reply = service
-            .run(&request(100, 23).with_ctx(ctx), &|_, _| {})
-            .unwrap();
-        let tag = reply.strategy.expect("the tuner filled the recovery axis");
-        assert_eq!(tag.schedule, Schedule::Dynamic(16), "pins are respected");
+        let dynamic = Some(Schedule::Dynamic(16));
+        let (schedule, recovery) = (Strategy::DEFAULT.schedule, Strategy::DEFAULT.recovery);
+        assert_eq!(anchors(dynamic, None), anchors(dynamic, Some(recovery)));
+        assert_eq!(anchors(None, None), anchors(Some(schedule), Some(recovery)));
+        assert_ne!(anchors(dynamic, None), anchors(None, None));
     }
 
     #[test]
