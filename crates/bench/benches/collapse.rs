@@ -181,8 +181,9 @@ fn bench_guarded(c: &mut Criterion) {
 fn bench_serve_overhead(c: &mut Criterion) {
     // The serving front's per-request tax over a direct token-wired
     // `Runner::run` of the same work (correlation N=800,
-    // once-per-chunk recovery): admission bookkeeping, one bounded-
-    // queue handoff, the dispatcher hop, and the response-slot park.
+    // once-per-chunk recovery) through `submit_bound`: admission
+    // bookkeeping and the ticket in the line for the pool; the caller
+    // then runs the same work on the service pool itself.
     // The acceptance target holds `served` within 10% of `direct`
     // (both ids sit inside the standing 25%/30 ns CI gate).
     let nest = NestSpec::correlation();

@@ -1,14 +1,16 @@
 //! CI serve-layer stress smoke: mixed-tenant load against a
 //! [`CollapseService`] with a deliberately undersized plan cache and
-//! work queue, so admission rejections, LRU churn, coalesced analyses,
-//! deadline expirations, and body-panic containment all happen in one
-//! run — then asserts the counter-consistency invariants from
+//! line for the pool, so admission rejections, LRU churn, coalesced
+//! analyses, deadline expirations, and body-panic containment all
+//! happen in one run — then asserts the counter-consistency invariants from
 //! `docs/COUNTERS.md`:
 //!
 //! * per tenant: `accepted == completed + cancelled + deadline_expired
 //!   + body_panicked` once `inflight == 0`,
 //! * per tenant: every submission landed in exactly one bucket
 //!   (`accepted`/`bound`/`rejected_*`/`plan_failed`),
+//! * service: `runs_executed == Σ accepted` — every admitted caller ran
+//!   its own work on the pool exactly once,
 //! * cache: `hits + misses + coalesced + quarantined` accounts for
 //!   every lookup, residency within capacity, evictions ≤ misses.
 //!
@@ -136,6 +138,14 @@ fn main() {
         }
         accounted +=
             t.accepted + t.bound + t.rejected_queue_full + t.rejected_quota + t.plan_failed;
+    }
+    let accepted: u64 = metrics.tenants.iter().map(|(_, t)| t.accepted).sum();
+    if service.runs_executed() != accepted {
+        println!(
+            "::error title=serve stress::{} runs executed, {accepted} accepted",
+            service.runs_executed()
+        );
+        bad += 1;
     }
     if accounted != submitted.load(Ordering::Relaxed) {
         println!(

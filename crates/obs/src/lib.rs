@@ -14,8 +14,8 @@
 //!   (one `Instant` epoch per process, so timestamps from different
 //!   threads share an axis).
 //! * [`TraceId`] / [`SpanId`] — cheap atomic id allocators. A
-//!   `TraceId` follows one request across threads (caller →
-//!   dispatcher → pool workers); a `SpanId` names one emitted span.
+//!   `TraceId` follows one request across threads (caller → pool
+//!   workers); a `SpanId` names one emitted span.
 //! * [`EventRing`] — a per-thread, fixed-capacity, lock-free ring of
 //!   completed [`Event`]s. Single producer (the owning thread),
 //!   drained from any thread; when full it **drops oldest**,

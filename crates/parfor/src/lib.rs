@@ -43,7 +43,6 @@
 pub mod faults;
 pub(crate) mod obs;
 pub mod pool;
-pub mod queue;
 pub mod schedule;
 pub mod scratch;
 pub mod stats;
@@ -51,7 +50,6 @@ mod sync;
 pub mod token;
 
 pub use pool::ThreadPool;
-pub use queue::{BoundedQueue, QueueFull};
 pub use schedule::{ParseScheduleError, Schedule};
 pub use scratch::WorkerLocal;
 pub use stats::{ImbalanceReport, ThreadStats};

@@ -28,6 +28,11 @@ struct Slot {
 }
 
 struct Shared {
+    /// Serializes [`ThreadPool::run`] across concurrent callers: held
+    /// from publishing the job through the `done` barrier and the panic
+    /// re-throw, so one run's `slot`, `done` count and panic payload
+    /// never mix with another's.
+    run_lock: Mutex<()>,
     slot: Mutex<Slot>,
     job_cv: Condvar,
     done: AtomicUsize,
@@ -82,6 +87,7 @@ impl ThreadPool {
     pub fn new(nthreads: usize) -> Self {
         assert!(nthreads > 0, "a pool needs at least one thread");
         let shared = Arc::new(Shared {
+            run_lock: Mutex::new(()),
             slot: Mutex::new(Slot {
                 epoch: 0,
                 job: None,
@@ -136,6 +142,14 @@ impl ThreadPool {
     /// completion barrier, so the type-erased job reference never
     /// outlives its pointee and the pool stays fully reusable (the next
     /// `run` starts from a clean epoch; no mutex is poisoned).
+    ///
+    /// # Concurrent callers
+    /// Any number of threads may call `run` on one pool: the runs are
+    /// serialized, each waiting until the previous one has passed its
+    /// completion barrier (a one-thread pool has no shared state and
+    /// runs each body on its own caller). A nested `run` on the same
+    /// multi-thread pool from inside its own body is unsupported: it
+    /// waits on itself forever.
     pub fn run(&self, f: &(dyn Fn(usize) + Sync)) {
         let nworkers = self.handles.len();
         if nworkers == 0 {
@@ -145,6 +159,9 @@ impl ThreadPool {
             f(0);
             return;
         }
+        // Held until this function returns or unwinds; the shim
+        // mutex ignores poisoning, so a re-thrown panic frees it too.
+        let _run = self.shared.run_lock.lock();
         // SAFETY: see `JobPtr`. We erase the lifetime only for the span
         // of this call; the wait below restores the invariant.
         let job = JobPtr(unsafe {
@@ -547,6 +564,42 @@ mod tests {
             // Exactly one payload was kept; the slot is clean again.
             assert!(pool.shared.panic.lock().is_none());
             assert!(!pool.shared.panicked.load(Ordering::Relaxed));
+        });
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_pool() {
+        // Unserialized, two callers clobber each other's job slot and
+        // `done` count: iterations go missing, then the barrier hangs.
+        with_deadline(|| {
+            let pool = ThreadPool::new(2);
+            std::thread::scope(|scope| {
+                for (caller, schedule) in
+                    [Schedule::Static, Schedule::Dynamic(4), Schedule::Guided(2)]
+                        .into_iter()
+                        .enumerate()
+                {
+                    let pool = &pool;
+                    scope.spawn(move || {
+                        for round in 0..2000 {
+                            let seen: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
+                            let report = pool.parallel_for(64, schedule, &|_tid, s, e| {
+                                for i in s..e {
+                                    seen[i as usize].fetch_add(1, Ordering::Relaxed);
+                                }
+                            });
+                            for (i, c) in seen.iter().enumerate() {
+                                assert_eq!(
+                                    c.load(Ordering::Relaxed),
+                                    1,
+                                    "caller {caller} round {round}: iteration {i}"
+                                );
+                            }
+                            assert_eq!(report.total_iterations(), 64);
+                        }
+                    });
+                }
+            });
         });
     }
 

@@ -6,10 +6,9 @@
 //! cache context + deadline + tenant), and come out as either a bound
 //! plan handle (`Arc<Collapsed>`) or a completed run
 //! ([`RunReply`]: `RunOutcome` + the run's recovery-counter delta).
-//! The ROADMAP's one-core-many-frontends pattern starts here: one
-//! engine behind a stable service boundary, with the `extern "C"`/WASM
-//! frontends planned to bolt onto the `repr`-stable request/response
-//! scalars ([`Tenant`], [`RejectReason`]) later.
+//! There is no service thread: an admitted caller runs its own work
+//! on the shared service pool, on its own thread, in FIFO admission
+//! order.
 //!
 //! Three mechanisms make it a *service* rather than a function call:
 //!
@@ -19,22 +18,22 @@
 //!   shape pays exactly one symbolic analysis (N−1 callers park on the
 //!   leader's flight; a leader panic fails the waiters with the
 //!   `Quarantined` error without poisoning the table).
-//! * **Admission control** — a bounded FIFO queue
-//!   ([`nrl_parfor::BoundedQueue`]) feeds the pool; a full queue
-//!   rejects immediately ([`RejectReason::QueueFull`]) instead of
-//!   letting latency pile up, and a per-tenant in-flight quota
+//! * **Admission control** — admitted callers take tickets in a
+//!   bounded FIFO line for the pool; a full line rejects immediately
+//!   ([`RejectReason::QueueFull`]) instead of letting latency pile up,
+//!   and a per-tenant in-flight quota
 //!   ([`RejectReason::QuotaExceeded`]) keeps one tenant from starving
 //!   the rest.
 //! * **Deadlines** — each run carries a
 //!   [`RunToken`](nrl_parfor::RunToken) armed at admission, so time
-//!   spent queued counts against the request's deadline and an expired
+//!   spent waiting in line counts against the request's deadline and an expired
 //!   run reports exactly how many points completed.
 //!
 //! Observability is plain text by design:
 //! [`CollapseService::metrics_report`] aggregates the plan-cache
 //! counters, the recovery-counter totals, per-tenant accept/reject/
-//! outcome counts, the live queue depth plus its lifetime high-water
-//! mark, and log2 latency histograms per verb and per request phase
+//! outcome counts, the live count of callers waiting for the pool
+//! plus its lifetime high-water mark, and log2 latency histograms per verb and per request phase
 //! ([`LatencyMetrics`]) — see `docs/COUNTERS.md` for every counter and
 //! the invariants the stress bins assert. Each request also gets an
 //! end-to-end trace id ([`RunReply::trace_id`]) tagging its

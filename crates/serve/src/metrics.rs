@@ -4,8 +4,8 @@
 //! [`ServeMetrics`] snapshots the plan-cache counters
 //! ([`CacheStats`]), the service-wide recovery-counter totals
 //! ([`RecoveryStats`], summed over every run's delta), the per-tenant
-//! admission/outcome counters ([`TenantStats`]), and the live queue
-//! depth. [`ServeMetrics::report`] renders the whole snapshot as plain
+//! admission/outcome counters ([`TenantStats`]), and the live count
+//! of callers waiting for the pool. [`ServeMetrics::report`] renders the whole snapshot as plain
 //! text — the format the `serve_demo` example prints and the
 //! `serve_stress` CI bin parses nothing from (it asserts on the typed
 //! snapshot; the text is for humans).
@@ -29,9 +29,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// ends in exactly one of `bound`, `rejected_quota`, or `plan_failed`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TenantStats {
-    /// Run requests admitted to the work queue.
+    /// Run requests admitted to the line for the pool.
     pub accepted: u64,
-    /// Run requests refused because the bounded queue was full.
+    /// Run requests refused because the line for the pool was full.
     pub rejected_queue_full: u64,
     /// Requests refused because the tenant's in-flight quota was hit.
     pub rejected_quota: u64,
@@ -43,7 +43,8 @@ pub struct TenantStats {
     pub completed: u64,
     /// Runs stopped by cancellation.
     pub cancelled: u64,
-    /// Runs stopped by their deadline (including expiry while queued).
+    /// Runs stopped by their deadline (including expiry while waiting
+    /// in line).
     pub deadline_expired: u64,
     /// Runs whose body panicked (the request fails, the service
     /// survives).
@@ -70,9 +71,9 @@ pub struct LatencyMetrics {
     pub reduce: Hist,
     /// Phase: coalesced plan resolution + instantiation.
     pub resolve: Hist,
-    /// Phase: time queued before the dispatcher picked the job up.
+    /// Phase: time an admitted caller waited in line for the pool.
     pub queue_wait: Hist,
-    /// Phase: pool execution of the run (dispatcher-side).
+    /// Phase: the caller's own pool execution of the run.
     pub exec: Hist,
 }
 
@@ -107,13 +108,15 @@ pub struct ServeMetrics {
     pub recovery: RecoveryStats,
     /// Per-tenant counters, ordered by tenant id.
     pub tenants: Vec<(Tenant, TenantStats)>,
-    /// Jobs sitting in the work queue right now (racy by nature).
+    /// Admitted callers waiting for the pool right now (racy by
+    /// nature).
     pub queue_depth: usize,
     /// High-water mark of the queue depth over the service's lifetime
-    /// (updated at every enqueue and dispatch), so a backpressure
-    /// incident stays visible after the queue drains.
+    /// (updated at every admission), so a backpressure incident stays
+    /// visible after the line drains.
     pub queue_depth_max: u64,
-    /// Capacity of the work queue.
+    /// Most admitted callers that may wait for the pool
+    /// (`ServeConfig::queue_capacity`).
     pub queue_capacity: usize,
     /// Per-verb and per-phase latency histograms.
     pub latency: LatencyMetrics,
@@ -171,8 +174,7 @@ impl ServeMetrics {
 }
 
 /// The live (recording) side of [`LatencyMetrics`]: one [`SharedHist`]
-/// per family, recorded lock-free from caller threads and the
-/// dispatcher.
+/// per family, recorded lock-free from caller threads.
 #[derive(Default)]
 pub(crate) struct LatencyTotals {
     pub(crate) bind: SharedHist,

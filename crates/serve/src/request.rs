@@ -174,8 +174,8 @@ impl<'w> RunRequest<'w> {
 #[repr(u32)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RejectReason {
-    /// The bounded work queue was at capacity (backpressure: retry
-    /// later or shed load upstream).
+    /// `queue_capacity` admitted callers already wait for the pool
+    /// (backpressure: retry later or shed load upstream).
     QueueFull = 0,
     /// The tenant already has its quota of requests in flight.
     QuotaExceeded = 1,
@@ -208,8 +208,8 @@ pub enum ServeError {
     /// at the service boundary so it never unwinds into a frontend.
     AnalyzePanicked,
     /// The loop body panicked mid-run. The pool and the service
-    /// survive (the panic is contained at the dispatch boundary); only
-    /// this request fails.
+    /// survive (the panic is contained around the caller's run, and
+    /// the next caller's ticket is called); only this request fails.
     BodyPanicked,
 }
 
@@ -247,13 +247,13 @@ pub struct RunReply {
     /// run this is the deterministic joined prefix over exactly
     /// `points_done` points.
     pub reduced: Option<f64>,
-    /// Time the job spent parked in the bounded work queue before the
-    /// dispatcher picked it up. Together with
+    /// Time the caller waited in line, from admission until its
+    /// ticket was called. Together with
     /// [`exec_time`](RunReply::exec_time) a caller can tell admission
     /// latency from execution latency without parsing
     /// `metrics_report()`.
     pub queue_wait: Duration,
-    /// Time the dispatcher spent executing the run on the pool
+    /// Time the caller spent executing its run on the pool
     /// (excludes queue wait and plan resolution).
     pub exec_time: Duration,
     /// The request's end-to-end trace id — the same value tagged on

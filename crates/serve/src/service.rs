@@ -1,51 +1,53 @@
-//! The service itself: admission, the dispatcher, and the verbs.
+//! The service itself: admission, the line for the pool, and the verbs.
 //!
 //! [`CollapseService`] owns the full serving stack — its own
 //! [`PlanCache`] (isolated from the process-global one), a
-//! [`ThreadPool`], a bounded FIFO work queue, and one dispatcher
-//! thread that drains the queue and executes each run on the pool via
-//! the [`Runner`](nrl_core::Runner) builder. The verbs:
+//! [`ThreadPool`], and a bounded FIFO line of admitted callers waiting
+//! for that pool. There is no service thread: an admitted caller runs
+//! its own [`Runner`](nrl_core::Runner) on the shared pool, on its own
+//! thread, once its ticket is called. The verbs:
 //!
 //! * [`CollapseService::bind`] — synchronous on the caller thread:
 //!   coalesced plan resolution + instantiation, returning the bound
 //!   `Arc<Collapsed>` handle. Herds of callers binding one uncached
 //!   shape share a single analysis.
 //! * [`CollapseService::submit`] — resolves the plan the same way,
-//!   then queues the execution of a [`RunWork`] (a loop body or a
-//!   deterministic reduction). The caller blocks until the dispatcher
-//!   has run the job on the pool (or the queue rejected it);
-//!   backpressure is explicit, not implicit latency.
+//!   then executes a [`RunWork`] (a loop body or a deterministic
+//!   reduction) on the pool. The caller takes a ticket in the line
+//!   (or is rejected at once when the line is full — backpressure is
+//!   explicit, not implicit latency), waits for its turn, and runs.
 //!   [`CollapseService::run`] and [`CollapseService::reduce`] are the
 //!   body/reducer conveniences over it.
 //! * [`CollapseService::submit_bound`] — executes a [`RunRequest`]
-//!   over an already-bound plan through the same queue (admission,
+//!   over an already-bound plan through the same line (admission,
 //!   FIFO ordering, deadline, fault containment — no plan
 //!   resolution).
 //!
-//! Runs are serialized by the single dispatcher — each run already
-//! spreads over the whole pool, so the queue orders *pool-wide* jobs
-//! rather than oversubscribing workers. Concurrency across callers
-//! comes from admission (many callers queue; the herd coalesces on
-//! analysis), not from overlapping pool runs.
+//! Runs are serialized in admission order — each run already spreads
+//! over the whole pool, so the line orders *pool-wide* runs rather
+//! than oversubscribing workers, and the before/after recovery delta
+//! of each run stays exact. Concurrency across callers comes from
+//! admission (many callers wait; the herd coalesces on analysis), not
+//! from overlapping pool runs.
 //!
 //! # Fault containment
 //!
-//! A panicking loop body is caught at the dispatch boundary: the
+//! A panicking loop body is caught around the caller's run: the
 //! request fails with [`ServeError::BodyPanicked`], the pool recovers
-//! (PR 6 semantics: the panic re-throws on the dispatcher after the
-//! worker barrier, where it is caught), and the dispatcher keeps
-//! draining. A panicking *analysis* is caught on the caller thread
-//! ([`ServeError::AnalyzePanicked`] for the flight leader, the
-//! `Quarantined` plan error for coalesced waiters). No service thread
-//! dies; no lock is poisoned.
+//! (the panic re-throws on the caller after the worker barrier, where
+//! it is caught), and the caller's turn passes to the next ticket on
+//! every path, unwinding included. A panicking *analysis* is caught on
+//! the caller thread ([`ServeError::AnalyzePanicked`] for the flight
+//! leader, the `Quarantined` plan error for coalesced waiters). No
+//! lock is poisoned and no caller is wedged behind a failed one.
 
 use crate::metrics::{stats_delta, LatencyTotals, RecoveryTotals, ServeMetrics, TenantStats};
 use crate::request::{
     CollapseRequest, RejectReason, RunReply, RunRequest, RunWork, ServeError, ServeReducer, Tenant,
 };
-use nrl_core::{Collapsed, Recovery, Reducer, Strategy};
-use nrl_obs::{now_ns, span_traced, TraceId};
-use nrl_parfor::{BoundedQueue, QueueFull, RunOutcome, RunToken, Schedule, ThreadPool};
+use nrl_core::{Collapsed, Reducer, Strategy};
+use nrl_obs::{now_ns, span_traced, SharedHist, TraceId};
+use nrl_parfor::{RunOutcome, RunToken, ThreadPool};
 use nrl_plan::PlanCache;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,10 +64,11 @@ fn lock_immune<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Sizing knobs for a [`CollapseService`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Threads in the execution pool (including the dispatcher when it
-    /// participates as thread 0 of a run).
+    /// Threads in the execution pool, including the calling thread:
+    /// an admitted caller runs as thread 0 of its own run.
     pub workers: usize,
-    /// Capacity of the bounded work queue; a full queue rejects with
+    /// Most admitted callers that may wait for the pool at once
+    /// (minimum 1); past it a run is rejected with
     /// [`RejectReason::QueueFull`].
     pub queue_capacity: usize,
     /// Maximum requests one tenant may have in flight (admitted but
@@ -89,40 +92,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Type-erased pointer to the submitting caller's bound plan.
-///
-/// Safety: the submitting caller blocks on the job's [`ResponseSlot`]
-/// until the dispatcher publishes, and the dispatcher publishes only
-/// after the run (or its catch) finished — so the pointee outlives
-/// every dereference. On shutdown the queue is closed and fully
-/// drained before the dispatcher exits, so no job is ever dropped
-/// unpublished.
-struct CollapsedPtr(*const Collapsed);
-// SAFETY: `Collapsed` is `Sync` (shared by pool workers every run) and
-// the pointer's lifetime is bracketed by the blocking caller as above.
-unsafe impl Send for CollapsedPtr {}
-
-/// Type-erased pointer to the caller's loop body (same bracketing
-/// argument as [`CollapsedPtr`]; the pool erases body lifetimes the
-/// same way).
-struct BodyPtr(*const (dyn Fn(usize, &[i64]) + Sync));
-// SAFETY: see `CollapsedPtr`; the pointee is `Sync` by bound.
-unsafe impl Send for BodyPtr {}
-
-/// Type-erased pointer to the caller's reducer (same bracketing
-/// argument as [`CollapsedPtr`]).
-struct ReducerPtr(*const dyn ServeReducer);
-// SAFETY: see `CollapsedPtr`; `ServeReducer: Sync` by supertrait.
-unsafe impl Send for ReducerPtr {}
-
-/// The type-erased form of [`RunWork`] carried by a queued job.
-enum WorkPtr {
-    Body(BodyPtr),
-    Reduce(ReducerPtr),
-}
-
 /// Adapts a dyn [`ServeReducer`] to the engine's [`Reducer`] trait for
-/// the dispatcher's [`Runner::reduce`](nrl_core::Runner::reduce) call.
+/// [`Runner::reduce`](nrl_core::Runner::reduce).
 struct DynReducer<'r>(&'r dyn ServeReducer);
 
 impl Reducer<f64> for DynReducer<'_> {
@@ -137,115 +108,64 @@ impl Reducer<f64> for DynReducer<'_> {
     }
 }
 
-/// Where the dispatcher publishes a job's reply and the submitting
-/// caller parks for it. Written exactly once per job.
-struct ResponseSlot {
-    slot: Mutex<Option<Result<RunReply, ServeError>>>,
-    cv: Condvar,
+/// The FIFO line of admitted callers: tickets are handed out at
+/// admission and called one at a time, in order.
+#[derive(Default)]
+struct Line {
+    /// The ticket the next admitted caller takes.
+    next: u64,
+    /// The ticket whose holder may run on the pool now.
+    serving: u64,
+    /// Admitted callers whose ticket has not been called yet.
+    waiting: usize,
 }
 
-impl ResponseSlot {
-    fn new() -> ResponseSlot {
-        ResponseSlot {
-            slot: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
+/// An admitted caller's turn on the pool. Dropping it — on every path,
+/// unwinding included — calls the next ticket.
+struct Turn<'s>(&'s CollapseService);
 
-    fn publish(&self, reply: Result<RunReply, ServeError>) {
-        *lock_immune(&self.slot) = Some(reply);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Result<RunReply, ServeError> {
-        let mut slot = lock_immune(&self.slot);
-        loop {
-            if let Some(reply) = slot.take() {
-                return reply;
-            }
-            slot = self.cv.wait(slot).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// One queued execution.
-struct Job {
-    tenant: Tenant,
-    collapsed: CollapsedPtr,
-    schedule: Schedule,
-    recovery: Recovery,
-    token: RunToken,
-    work: WorkPtr,
-    slot: Arc<ResponseSlot>,
-    /// The request's end-to-end trace id (tags every span the request
-    /// emits; surfaced in [`RunReply::trace_id`]).
-    trace: u64,
-    /// Enqueue timestamp on the obs monotonic clock, so the dispatcher
-    /// can attribute queue wait without a cross-thread `Instant`.
-    enq_ns: u64,
-}
-
-/// State shared between the verbs (caller threads) and the dispatcher.
-struct Shared {
-    pool: ThreadPool,
-    queue: BoundedQueue<Job>,
-    tenants: Mutex<Vec<(Tenant, TenantStats)>>,
-    recovery: RecoveryTotals,
-    /// Per-verb / per-phase latency histograms (always on; lock-free).
-    latency: LatencyTotals,
-    /// High-water mark of the queue depth (enqueue- and dispatch-side
-    /// `fetch_max`), so backpressure incidents outlive the queue drain.
-    queue_depth_max: AtomicU64,
-    /// Completed pool runs (all outcomes), for the demo/stress tools.
-    runs: AtomicU64,
-}
-
-impl Shared {
-    /// Runs `f` on the tenant's counter row (created on first touch).
-    fn with_tenant<R>(&self, tenant: Tenant, f: impl FnOnce(&mut TenantStats) -> R) -> R {
-        let mut tenants = lock_immune(&self.tenants);
-        if let Some((_, stats)) = tenants.iter_mut().find(|(t, _)| *t == tenant) {
-            return f(stats);
-        }
-        tenants.push((tenant, TenantStats::default()));
-        let (_, stats) = tenants.last_mut().expect("row just pushed");
-        f(stats)
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        lock_immune(&self.0.line).serving += 1;
+        self.0.called.notify_all();
     }
 }
 
 /// The service front (see the [module docs](self) and the crate docs).
 pub struct CollapseService {
     cache: PlanCache,
-    shared: Arc<Shared>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
+    pool: ThreadPool,
+    line: Mutex<Line>,
+    /// Signalled whenever a turn ends and the next ticket is called.
+    called: Condvar,
+    queue_capacity: usize,
     tenant_quota: u64,
+    tenants: Mutex<Vec<(Tenant, TenantStats)>>,
+    recovery: RecoveryTotals,
+    /// Per-verb / per-phase latency histograms (always on; lock-free).
+    latency: LatencyTotals,
+    /// High-water mark of [`Line::waiting`], so backpressure incidents
+    /// outlive the line draining.
+    queue_depth_max: AtomicU64,
+    /// Completed pool runs (all outcomes), for the demo/stress tools.
+    runs: AtomicU64,
 }
 
 impl CollapseService {
-    /// Builds the full serving stack: pool, cache, queue, and the
-    /// dispatcher thread.
+    /// Builds the full serving stack: pool, cache and line.
     pub fn new(config: ServeConfig) -> CollapseService {
-        let shared = Arc::new(Shared {
+        CollapseService {
+            cache: PlanCache::new(config.cache_shards, config.cache_plans_per_shard),
             pool: ThreadPool::new(config.workers.max(1)),
-            queue: BoundedQueue::new(config.queue_capacity),
+            line: Mutex::new(Line::default()),
+            called: Condvar::new(),
+            queue_capacity: config.queue_capacity.max(1),
+            tenant_quota: config.tenant_quota as u64,
             tenants: Mutex::new(Vec::new()),
             recovery: RecoveryTotals::default(),
             latency: LatencyTotals::default(),
             queue_depth_max: AtomicU64::new(0),
             runs: AtomicU64::new(0),
-        });
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("nrl-serve-dispatch".into())
-                .spawn(move || dispatcher_loop(shared))
-                .expect("failed to spawn service dispatcher")
-        };
-        CollapseService {
-            cache: PlanCache::new(config.cache_shards, config.cache_plans_per_shard),
-            shared,
-            dispatcher: Some(dispatcher),
-            tenant_quota: config.tenant_quota as u64,
         }
     }
 
@@ -259,18 +179,15 @@ impl CollapseService {
         self.admit(request.tenant)?;
         match self.resolve(request, trace) {
             Ok(collapsed) => {
-                self.shared.with_tenant(request.tenant, |t| {
+                self.with_tenant(request.tenant, |t| {
                     t.inflight -= 1;
                     t.bound += 1;
                 });
-                self.shared
-                    .latency
-                    .bind
-                    .record(now_ns().saturating_sub(t_verb));
+                self.latency.bind.record(now_ns().saturating_sub(t_verb));
                 Ok(Arc::new(collapsed))
             }
             Err(e) => {
-                self.shared.with_tenant(request.tenant, |t| {
+                self.with_tenant(request.tenant, |t| {
                     t.inflight -= 1;
                     t.plan_failed += 1;
                 });
@@ -280,12 +197,12 @@ impl CollapseService {
     }
 
     /// Serves an execution request end to end: coalesced plan
-    /// resolution on the caller thread, then a queued execution of
-    /// `work` over every point of the instantiated domain on the
-    /// service pool. Blocks until the run finished (or admission
-    /// rejected it); the reply carries the outcome, the run's
-    /// recovery-counter delta, and — for [`RunWork::Reduce`] — the
-    /// deterministic reduction value.
+    /// resolution, then an execution of `work` over every point of the
+    /// instantiated domain on the service pool, both on the caller
+    /// thread. Blocks until the run finished (or admission rejected
+    /// it); the reply carries the outcome, the run's recovery-counter
+    /// delta, and — for [`RunWork::Reduce`] — the deterministic
+    /// reduction value.
     ///
     /// `request.ctx.schedule` / `request.ctx.recovery` configure the
     /// execution; an axis the context leaves unpinned comes from
@@ -297,21 +214,13 @@ impl CollapseService {
     ) -> Result<RunReply, ServeError> {
         let trace = TraceId::next().0;
         let is_reduce = matches!(work, RunWork::Reduce(_));
-        let _verb = span_traced(
-            "serve",
-            if is_reduce {
-                "serve.reduce"
-            } else {
-                "serve.run"
-            },
-            trace,
-        );
+        let _verb = span_traced("serve", verb_name(is_reduce), trace);
         let t_verb = now_ns();
         self.admit(request.tenant)?;
         let collapsed = match self.resolve(request, trace) {
             Ok(resolved) => resolved,
             Err(e) => {
-                self.shared.with_tenant(request.tenant, |t| {
+                self.with_tenant(request.tenant, |t| {
                     t.inflight -= 1;
                     t.plan_failed += 1;
                 });
@@ -325,13 +234,9 @@ impl CollapseService {
             deadline: request.deadline,
             work,
         };
-        let reply = self.enqueue_and_wait(&collapsed, run, trace)?;
-        let verb_hist = if is_reduce {
-            &self.shared.latency.reduce
-        } else {
-            &self.shared.latency.run
-        };
-        verb_hist.record(now_ns().saturating_sub(t_verb));
+        let reply = self.execute(&collapsed, run, trace)?;
+        self.verb_hist(is_reduce)
+            .record(now_ns().saturating_sub(t_verb));
         Ok(reply)
     }
 
@@ -355,7 +260,7 @@ impl CollapseService {
     }
 
     /// Executes a [`RunRequest`] over an already-bound plan through
-    /// the service queue (admission, FIFO ordering, deadline, and
+    /// the service line (admission, FIFO ordering, deadline, and
     /// fault containment — but no plan resolution). This is the
     /// `Mode::Served` smoke path of the kernel harness and the natural
     /// verb for a frontend that binds once and runs many times.
@@ -366,39 +271,27 @@ impl CollapseService {
     ) -> Result<RunReply, ServeError> {
         let trace = TraceId::next().0;
         let is_reduce = matches!(request.work, RunWork::Reduce(_));
-        let _verb = span_traced(
-            "serve",
-            if is_reduce {
-                "serve.reduce"
-            } else {
-                "serve.run"
-            },
-            trace,
-        );
+        let _verb = span_traced("serve", verb_name(is_reduce), trace);
         let t_verb = now_ns();
         self.admit(request.tenant)?;
-        let reply = self.enqueue_and_wait(collapsed, request, trace)?;
-        let verb_hist = if is_reduce {
-            &self.shared.latency.reduce
-        } else {
-            &self.shared.latency.run
-        };
-        verb_hist.record(now_ns().saturating_sub(t_verb));
+        let reply = self.execute(collapsed, request, trace)?;
+        self.verb_hist(is_reduce)
+            .record(now_ns().saturating_sub(t_verb));
         Ok(reply)
     }
 
     /// Snapshot of every counter the service exposes.
     pub fn metrics(&self) -> ServeMetrics {
-        let mut tenants = lock_immune(&self.shared.tenants).clone();
+        let mut tenants = lock_immune(&self.tenants).clone();
         tenants.sort_by_key(|(t, _)| *t);
         ServeMetrics {
             cache: self.cache.stats(),
-            recovery: self.shared.recovery.snapshot(),
+            recovery: self.recovery.snapshot(),
             tenants,
-            queue_depth: self.shared.queue.len(),
-            queue_depth_max: self.shared.queue_depth_max.load(Ordering::Relaxed),
-            queue_capacity: self.shared.queue.capacity(),
-            latency: self.shared.latency.snapshot(),
+            queue_depth: lock_immune(&self.line).waiting,
+            queue_depth_max: self.queue_depth_max.load(Ordering::Relaxed),
+            queue_capacity: self.queue_capacity,
+            latency: self.latency.snapshot(),
         }
     }
 
@@ -409,13 +302,32 @@ impl CollapseService {
 
     /// Pool runs executed so far (all outcomes).
     pub fn runs_executed(&self) -> u64 {
-        self.shared.runs.load(Ordering::Relaxed)
+        self.runs.load(Ordering::Relaxed)
+    }
+
+    /// Runs `f` on the tenant's counter row (created on first touch).
+    fn with_tenant<R>(&self, tenant: Tenant, f: impl FnOnce(&mut TenantStats) -> R) -> R {
+        let mut tenants = lock_immune(&self.tenants);
+        if let Some((_, stats)) = tenants.iter_mut().find(|(t, _)| *t == tenant) {
+            return f(stats);
+        }
+        tenants.push((tenant, TenantStats::default()));
+        let (_, stats) = tenants.last_mut().expect("row just pushed");
+        f(stats)
+    }
+
+    fn verb_hist(&self, is_reduce: bool) -> &SharedHist {
+        if is_reduce {
+            &self.latency.reduce
+        } else {
+            &self.latency.run
+        }
     }
 
     /// Quota check + in-flight accounting, shared by every verb.
     fn admit(&self, tenant: Tenant) -> Result<(), ServeError> {
         let quota = self.tenant_quota;
-        self.shared.with_tenant(tenant, |t| {
+        self.with_tenant(tenant, |t| {
             if t.inflight >= quota {
                 t.rejected_quota += 1;
                 return Err(ServeError::Rejected {
@@ -436,160 +348,111 @@ impl CollapseService {
             self.cache
                 .collapse_coalesced(&request.nest, request.ctx, &request.params)
         }));
-        self.shared
-            .latency
-            .resolve
-            .record(now_ns().saturating_sub(t0));
+        self.latency.resolve.record(now_ns().saturating_sub(t0));
         match outcome {
             Ok(result) => result.map_err(ServeError::from),
             Err(_panic) => Err(ServeError::AnalyzePanicked),
         }
     }
 
-    /// Queues one execution and parks until the dispatcher replies.
-    fn enqueue_and_wait(
+    /// Takes a ticket in the line — or rejects at once when
+    /// `queue_capacity` callers already wait — and parks until the
+    /// ticket is called.
+    fn take_turn(&self, tenant: Tenant) -> Result<Turn<'_>, ServeError> {
+        let ticket = {
+            let mut line = lock_immune(&self.line);
+            if line.waiting >= self.queue_capacity {
+                drop(line);
+                self.with_tenant(tenant, |t| {
+                    t.inflight -= 1;
+                    t.rejected_queue_full += 1;
+                });
+                return Err(ServeError::Rejected {
+                    reason: RejectReason::QueueFull,
+                });
+            }
+            line.waiting += 1;
+            self.queue_depth_max
+                .fetch_max(line.waiting as u64, Ordering::Relaxed);
+            line.next += 1;
+            line.next - 1
+        };
+        self.with_tenant(tenant, |t| t.accepted += 1);
+        let mut line = lock_immune(&self.line);
+        while line.serving != ticket {
+            line = self
+                .called
+                .wait(line)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        line.waiting -= 1;
+        Ok(Turn(self))
+    }
+
+    /// Admits one execution into the line, waits for its turn, and
+    /// runs it on the pool on the caller thread with the body panic
+    /// contained.
+    fn execute(
         &self,
         collapsed: &Collapsed,
         request: RunRequest<'_>,
         trace: u64,
     ) -> Result<RunReply, ServeError> {
         let tenant = request.tenant;
-        // The token is armed *now*: queue wait counts against the
-        // deadline, so a request that rots in the queue reports
+        // The token is armed *now*: waiting in line counts against the
+        // deadline, so a request that rots in the line reports
         // `DeadlineExpired { points_done: 0 }` instead of running late.
         let token = match request.deadline {
             Some(d) => RunToken::with_deadline(d),
             None => RunToken::new(),
         };
-        let slot = Arc::new(ResponseSlot::new());
-        // SAFETY: see `CollapsedPtr`/`BodyPtr`/`ReducerPtr` — the
-        // lifetimes are erased only for the span of this call;
-        // `slot.wait()` below restores the invariant before returning.
-        let work = match request.work {
-            RunWork::Body(body) => WorkPtr::Body(BodyPtr(unsafe {
-                std::mem::transmute::<
-                    *const (dyn Fn(usize, &[i64]) + Sync),
-                    *const (dyn Fn(usize, &[i64]) + Sync),
-                >(body as *const _)
-            })),
-            RunWork::Reduce(reducer) => WorkPtr::Reduce(ReducerPtr(unsafe {
-                std::mem::transmute::<*const dyn ServeReducer, *const dyn ServeReducer>(
-                    reducer as *const _,
-                )
-            })),
-        };
-        let job = Job {
-            tenant,
-            collapsed: CollapsedPtr(collapsed as *const Collapsed),
-            schedule: request.schedule,
-            recovery: request.recovery,
-            token,
-            work,
-            slot: Arc::clone(&slot),
-            trace,
-            enq_ns: now_ns(),
-        };
-        if let Err(QueueFull(_job)) = self.shared.queue.try_push(job) {
-            self.shared.with_tenant(tenant, |t| {
-                t.inflight -= 1;
-                t.rejected_queue_full += 1;
-            });
-            return Err(ServeError::Rejected {
-                reason: RejectReason::QueueFull,
-            });
-        }
-        self.shared
-            .queue_depth_max
-            .fetch_max(self.shared.queue.len() as u64, Ordering::Relaxed);
-        self.shared.with_tenant(tenant, |t| t.accepted += 1);
-        slot.wait()
-    }
-}
-
-impl std::fmt::Debug for CollapseService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "CollapseService(queue {}/{}, {} runs)",
-            self.shared.queue.len(),
-            self.shared.queue.capacity(),
-            self.runs_executed()
-        )
-    }
-}
-
-impl Drop for CollapseService {
-    fn drop(&mut self) {
-        // Close-and-drain: already-admitted jobs still execute and
-        // publish (their callers are parked on the slots), then the
-        // dispatcher sees the closed+empty queue and exits.
-        self.shared.queue.close();
-        if let Some(handle) = self.dispatcher.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Drains the queue, executing each job on the pool with the body
-/// panic contained, and publishes exactly one reply per job.
-fn dispatcher_loop(shared: Arc<Shared>) {
-    while let Some(job) = shared.queue.pop() {
-        // The popped job still counted toward the depth an instant ago.
-        shared
-            .queue_depth_max
-            .fetch_max(shared.queue.len() as u64 + 1, Ordering::Relaxed);
-        let t_pop = now_ns();
-        let queue_wait_ns = t_pop.saturating_sub(job.enq_ns);
-        shared.latency.queue_wait.record(queue_wait_ns);
-        // The wait's start lives on the submitting thread; attribute
-        // the interval to the dispatcher timeline it ended on.
-        nrl_obs::emit("serve", "serve.queue_wait", job.enq_ns, t_pop, job.trace);
-        // SAFETY: see `CollapsedPtr`/`BodyPtr`/`ReducerPtr` — the
-        // submitting caller is parked on `job.slot` until the publish
-        // below.
-        let collapsed = unsafe { &*job.collapsed.0 };
+        let t_admit = now_ns();
+        let turn = self.take_turn(tenant)?;
+        let t_turn = now_ns();
+        let queue_wait_ns = t_turn.saturating_sub(t_admit);
+        self.latency.queue_wait.record(queue_wait_ns);
+        nrl_obs::emit("serve", "serve.queue_wait", t_admit, t_turn, trace);
         let before = collapsed.stats();
         let runner = collapsed
-            .runner(&shared.pool)
-            .schedule(job.schedule)
-            .recovery(job.recovery)
-            .token(&job.token);
+            .runner(&self.pool)
+            .schedule(request.schedule)
+            .recovery(request.recovery)
+            .token(&token);
         let t_exec = now_ns();
         let ran = {
-            let _exec = span_traced("serve", "serve.exec", job.trace);
-            catch_unwind(AssertUnwindSafe(|| match &job.work {
-                WorkPtr::Body(body) => {
-                    let body = unsafe { &*body.0 };
-                    (runner.run(body).outcome, None)
-                }
-                WorkPtr::Reduce(reducer) => {
-                    let reducer = DynReducer(unsafe { &*reducer.0 });
-                    let red = runner.reduce(&reducer);
+            let _exec = span_traced("serve", "serve.exec", trace);
+            catch_unwind(AssertUnwindSafe(|| match request.work {
+                RunWork::Body(body) => (runner.run(body).outcome, None),
+                RunWork::Reduce(reducer) => {
+                    let red = runner.reduce(&DynReducer(reducer));
                     (red.outcome, Some(red.value))
                 }
             }))
         };
         let exec_ns = now_ns().saturating_sub(t_exec);
-        shared.latency.exec.record(exec_ns);
-        shared.runs.fetch_add(1, Ordering::Relaxed);
+        // Snapshot before the next ticket is called, so the delta holds
+        // this run's counters only.
+        let ran = ran.map(|done| (done, stats_delta(&before, &collapsed.stats())));
+        drop(turn);
+        self.latency.exec.record(exec_ns);
+        self.runs.fetch_add(1, Ordering::Relaxed);
         let reply = match ran {
-            Ok((outcome, reduced)) => {
-                let delta = stats_delta(&before, &collapsed.stats());
-                shared.recovery.add(&delta);
+            Ok(((outcome, reduced), delta)) => {
+                self.recovery.add(&delta);
                 Ok(RunReply {
                     outcome,
                     recovery: delta,
                     reduced,
                     queue_wait: Duration::from_nanos(queue_wait_ns),
                     exec_time: Duration::from_nanos(exec_ns),
-                    trace_id: job.trace,
+                    trace_id: trace,
                 })
             }
             // The pool already recovered (the panic re-threw here after
             // the worker barrier); fail this request only.
             Err(_payload) => Err(ServeError::BodyPanicked),
         };
-        shared.with_tenant(job.tenant, |t| {
+        self.with_tenant(tenant, |t| {
             t.inflight -= 1;
             match &reply {
                 Ok(r) => match r.outcome {
@@ -600,7 +463,28 @@ fn dispatcher_loop(shared: Arc<Shared>) {
                 Err(_) => t.body_panicked += 1,
             }
         });
-        job.slot.publish(reply);
+        reply
+    }
+}
+
+/// The verb span's name for a run of either work shape.
+fn verb_name(is_reduce: bool) -> &'static str {
+    if is_reduce {
+        "serve.reduce"
+    } else {
+        "serve.run"
+    }
+}
+
+impl std::fmt::Debug for CollapseService {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "CollapseService(line {}/{}, {} runs)",
+            lock_immune(&self.line).waiting,
+            self.queue_capacity,
+            self.runs_executed()
+        )
     }
 }
 
@@ -608,9 +492,11 @@ fn dispatcher_loop(shared: Arc<Shared>) {
 mod tests {
     use super::*;
     use crate::request::CollapseResponse;
+    use nrl_core::Recovery;
+    use nrl_parfor::Schedule;
     use nrl_plan::PlanError;
     use nrl_polyhedra::NestSpec;
-    use std::sync::atomic::AtomicI64;
+    use std::sync::atomic::{AtomicBool, AtomicI64};
     use std::time::Duration;
 
     fn request(n: i64, tenant: u32) -> CollapseRequest {
@@ -712,8 +598,8 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, ServeError::BodyPanicked);
-        // The pool, queue, and dispatcher all survive: a clean run
-        // completes afterwards.
+        // The pool and the line survive: a clean run completes
+        // afterwards.
         let count = AtomicU64::new(0);
         let reply = service
             .run(&request(50, 6), &|_, _| {
@@ -753,45 +639,48 @@ mod tests {
         assert_eq!(bound, herd as u64);
     }
 
+    /// Blocks until `n` admitted callers wait in the service's line.
+    fn wait_for_line(service: &CollapseService, n: usize) {
+        while lock_immune(&service.line).waiting != n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// A body that flags `running`, then holds the pool until `gate`
+    /// opens.
+    fn hold_pool<'a>(
+        running: &'a AtomicBool,
+        gate: &'a AtomicBool,
+    ) -> impl Fn(usize, &[i64]) + Sync + 'a {
+        move |_, _| {
+            running.store(true, Ordering::Release);
+            while !gate.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        }
+    }
+
     #[test]
     fn queue_full_rejects_with_backpressure() {
-        let service = Arc::new(CollapseService::new(ServeConfig {
+        let service = CollapseService::new(ServeConfig {
             workers: 2,
             queue_capacity: 1,
             tenant_quota: 16,
             ..ServeConfig::default()
-        }));
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let running = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        });
+        let (gate, running) = (AtomicBool::new(false), AtomicBool::new(false));
         std::thread::scope(|scope| {
-            // First job: occupies the pool until the gate opens.
-            let first = {
-                let service = Arc::clone(&service);
-                let gate = Arc::clone(&gate);
-                let running = Arc::clone(&running);
-                scope.spawn(move || {
-                    service.run(&request(10, 9), &|_, _| {
-                        running.store(true, Ordering::Release);
-                        while !gate.load(Ordering::Acquire) {
-                            std::thread::yield_now();
-                        }
-                    })
-                })
-            };
-            // Wait until the first job left the queue and is running
-            // on the pool (so the queue slot below is truly free).
+            // First run: occupies the pool until the gate opens.
+            let first = scope.spawn(|| service.run(&request(10, 9), &hold_pool(&running, &gate)));
+            // Wait until the first run is on the pool (so it no longer
+            // counts as waiting).
             while !running.load(Ordering::Acquire) {
                 std::thread::yield_now();
             }
-            // Second job fills the single queue slot.
-            let second = {
-                let service = Arc::clone(&service);
-                scope.spawn(move || service.run(&request(10, 9), &|_, _| {}))
-            };
-            while service.shared.queue.is_empty() {
-                std::thread::yield_now();
-            }
-            // Third job must be rejected without blocking.
+            // Second run takes the single place in the line.
+            let second = scope.spawn(|| service.run(&request(10, 9), &|_, _| {}));
+            wait_for_line(&service, 1);
+            // Third run must be rejected without blocking.
             let err = service.run(&request(10, 9), &|_, _| {}).unwrap_err();
             assert_eq!(
                 err,
@@ -808,6 +697,78 @@ mod tests {
             (t.accepted, t.completed, t.rejected_queue_full, t.inflight),
             (2, 2, 1, 0)
         );
+    }
+
+    #[test]
+    fn panicking_body_releases_the_pool_to_the_next_caller() {
+        let service = CollapseService::new(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        });
+        let (gate, running) = (AtomicBool::new(false), AtomicBool::new(false));
+        let count = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                let hold = hold_pool(&running, &gate);
+                service.run(&request(10, 14), &move |tid, p| {
+                    hold(tid, p);
+                    panic!("injected body fault");
+                })
+            });
+            while !running.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            let b = scope.spawn(|| {
+                service.run(&request(10, 14), &|_, _| {
+                    count.fetch_add(1, Ordering::Relaxed);
+                })
+            });
+            wait_for_line(&service, 1);
+            gate.store(true, Ordering::Release);
+            assert_eq!(a.join().unwrap().unwrap_err(), ServeError::BodyPanicked);
+            assert!(b.join().unwrap().unwrap().outcome.is_completed());
+        });
+        assert_eq!(count.into_inner(), 9 * 10 / 2);
+        let (_, t) = service.metrics().tenants[0];
+        assert_eq!((t.body_panicked, t.completed, t.inflight), (1, 1, 0));
+    }
+
+    #[test]
+    fn admitted_callers_run_in_admission_order() {
+        let service = CollapseService::new(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        });
+        let (gate, running) = (AtomicBool::new(false), AtomicBool::new(false));
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| service.run(&request(10, 15), &hold_pool(&running, &gate)));
+            while !running.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            // Admit callers one by one; each correlation N=2 run has a
+            // single point, so each body records its caller once.
+            let callers: Vec<_> = (1..=5usize)
+                .map(|caller| {
+                    let order = &order;
+                    let service = &service;
+                    let handle = scope.spawn(move || {
+                        service.run(&request(2, 15), &move |_, _| {
+                            lock_immune(order).push(caller)
+                        })
+                    });
+                    wait_for_line(service, caller);
+                    handle
+                })
+                .collect();
+            gate.store(true, Ordering::Release);
+            assert!(first.join().unwrap().unwrap().outcome.is_completed());
+            for caller in callers {
+                assert!(caller.join().unwrap().unwrap().outcome.is_completed());
+            }
+        });
+        assert_eq!(order.into_inner().unwrap(), vec![1, 2, 3, 4, 5]);
+        assert_eq!(service.metrics().queue_depth_max, 5);
     }
 
     /// Σ (3i + j) over the correlation triangle as a service-side
