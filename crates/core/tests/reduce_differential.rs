@@ -8,10 +8,14 @@
 //!
 //! `Runner::reduce_guarded` is held to the same bar against the
 //! sequential guarded fold, with each point's [`NestPosition`] folded
-//! into its map. Fixed-size domains large enough for grid chunks of
-//! several points check that reductions recover one anchor per
-//! schedule chunk, and that a cancel between grid chunks cut mid-row
-//! still resumes to the exact whole.
+//! into its map. The random nests stay small enough for exhaustive
+//! sweeps, which leaves most of them one or two 256-point grid
+//! chunks, so a second sweep takes domains of 1,024+ points at every
+//! depth 1–6 (4+ chunks) through the same join, guarded and cancel
+//! checks.
+//! Fixed-size domains also check that reductions recover one anchor
+//! per schedule chunk, and that a cancel between grid chunks cut
+//! mid-row still resumes to the exact whole.
 //!
 //! The accumulator is an affine map `x ↦ a·x + b` over wrapping u64
 //! composed left-to-right — associative but **non-commutative**, so a
@@ -114,6 +118,191 @@ fn aff_reducer() -> impl nrl_core::Reducer<Aff> {
     )
 }
 
+/// The fixed-grid reduction of an exact accumulator equals the
+/// sequential left fold bit-exactly, no matter how the work is
+/// scheduled, recovered, or spread across threads. Returns the number
+/// of grid chunks the domain was cut into.
+fn check_reduction_matches_seq(nest: &NestSpec, params: &[i64]) -> Result<u64, TestCaseError> {
+    let collapsed = CollapseSpec::new(nest)
+        .expect("spec")
+        .bind(params)
+        .expect("bind");
+    let mut expect = AFF_ID;
+    run_seq(&nest.bind(params), |p| {
+        expect = compose(expect, point_aff(p))
+    });
+    let red = aff_reducer();
+    let mut chunks = 0;
+    for &nthreads in &POOLS {
+        let pool = ThreadPool::new(nthreads);
+        for schedule in SCHEDULES {
+            for recovery in RECOVERIES {
+                let got = collapsed
+                    .runner(&pool)
+                    .schedule(schedule)
+                    .recovery(recovery)
+                    .reduce(&red);
+                prop_assert_eq!(got.outcome, RunOutcome::Completed);
+                prop_assert_eq!(
+                    got.value,
+                    expect,
+                    "{} threads under {:?}/{:?}",
+                    nthreads,
+                    schedule,
+                    recovery
+                );
+                prop_assert_eq!(got.counters.joined, got.counters.chunks);
+                prop_assert_eq!(got.counters.discarded, 0);
+                chunks = got.counters.chunks;
+            }
+        }
+    }
+    Ok(chunks)
+}
+
+/// A reduction cancelled `cancel_permille`‰ of the way through its
+/// points returns the joined contiguous prefix and a grid-aligned
+/// `points_done`; resuming at that offset and joining the two values
+/// reproduces the uninterrupted reduction bit-exactly.
+fn check_cancel_then_resume(
+    nest: &NestSpec,
+    params: &[i64],
+    cancel_permille: u64,
+    nthreads: usize,
+) -> Result<(), TestCaseError> {
+    let collapsed = CollapseSpec::new(nest)
+        .expect("spec")
+        .bind(params)
+        .expect("bind");
+    let total = collapsed.total() as u64;
+    let cancel_at = 1 + cancel_permille * total / 1000;
+    let red = aff_reducer();
+    let pool = ThreadPool::new(nthreads);
+    for schedule in SCHEDULES {
+        for recovery in [Recovery::OncePerChunk, Recovery::BinarySearch] {
+            let full = collapsed
+                .runner(&pool)
+                .schedule(schedule)
+                .recovery(recovery)
+                .reduce(&red);
+
+            let token = RunToken::new();
+            let calls = AtomicU64::new(0);
+            let cancelling = reducer(
+                || AFF_ID,
+                |_tid, p: &[i64], acc: &mut Aff| {
+                    if calls.fetch_add(1, Ordering::Relaxed) + 1 == cancel_at {
+                        token.cancel();
+                    }
+                    *acc = compose(*acc, point_aff(p));
+                },
+                compose,
+            );
+            let stopped = collapsed
+                .runner(&pool)
+                .schedule(schedule)
+                .recovery(recovery)
+                .token(&token)
+                .reduce(&cancelling);
+            let done = match stopped.outcome {
+                RunOutcome::Cancelled { points_done } => points_done,
+                // The cancel landed in the final grid chunk (or past
+                // the domain): the reduction legitimately completes.
+                RunOutcome::Completed => {
+                    prop_assert_eq!(
+                        stopped.value,
+                        full.value,
+                        "a completed run must carry the full value"
+                    );
+                    continue;
+                }
+                other => return Err(TestCaseError::fail(format!("unexpected {other:?}"))),
+            };
+            // The prefix is grid-aligned: whole chunks, never a
+            // partial one.
+            let grain = stopped.counters.grain;
+            prop_assert!(done < total);
+            prop_assert_eq!(
+                done % grain,
+                0,
+                "points_done {} not aligned to grain {}",
+                done,
+                grain
+            );
+            prop_assert_eq!(done, stopped.counters.joined * grain);
+
+            // The prefix value is the rank-order fold of the first
+            // `done` points.
+            let mut seen = 0u64;
+            let mut prefix = AFF_ID;
+            run_seq(&nest.bind(params), |p| {
+                if seen < done {
+                    prefix = compose(prefix, point_aff(p));
+                }
+                seen += 1;
+            });
+            prop_assert_eq!(
+                stopped.value,
+                prefix,
+                "stopped value must be the contiguous prefix fold"
+            );
+
+            // Resume the remainder; the join reproduces the whole.
+            let resumed = collapsed
+                .runner(&pool)
+                .schedule(schedule)
+                .recovery(recovery)
+                .resume(done)
+                .reduce(&red);
+            prop_assert_eq!(resumed.outcome, RunOutcome::Completed);
+            prop_assert_eq!(
+                compose(stopped.value, resumed.value),
+                full.value,
+                "join(prefix, resumed) must equal the full reduction"
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The rectangular box `0 ≤ i_k < lens[k]` of depth `lens.len()`.
+fn box_nest(lens: &[i64]) -> Option<NestSpec> {
+    let names: Vec<String> = (0..lens.len()).map(|i| format!("i{i}")).collect();
+    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let s = Space::new(&name_refs, &[]);
+    let bounds = lens.iter().map(|&l| (s.cst(0), s.cst(l - 1))).collect();
+    NestSpec::new(s, bounds).ok()
+}
+
+/// Per depth 1–6, the range of box extents whose every box holds
+/// 1,024 to 4,096 points: 4 to 16 grid chunks of 256.
+const LARGE_EXTENTS: [(i64, i64); 6] = [(1024, 4096), (32, 64), (11, 16), (6, 8), (4, 5), (4, 4)];
+
+/// One box per depth 1–6 from [`LARGE_EXTENTS`], each axis drawn from
+/// `seed`, plus the paper's triangle (depth 2, 1,035–4,005 points)
+/// and tetrahedron (depth 3, 1,140–3,654 points), whose grid seams
+/// fall mid-row.
+fn large_cases(seed: u64) -> Vec<(NestSpec, Vec<i64>)> {
+    let mut cases: Vec<(NestSpec, Vec<i64>)> = LARGE_EXTENTS
+        .iter()
+        .enumerate()
+        .map(|(i, &(lo, hi))| {
+            let lens: Vec<i64> = (0..=i)
+                .map(|axis| {
+                    let r = seed
+                        .rotate_left(11 * axis as u32)
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    lo + ((r >> 32) % (hi - lo + 1) as u64) as i64
+                })
+                .collect();
+            (box_nest(&lens).expect("box"), vec![])
+        })
+        .collect();
+    cases.push((NestSpec::correlation(), vec![46 + (seed % 45) as i64]));
+    cases.push((NestSpec::figure6(), vec![19 + (seed % 10) as i64]));
+    cases
+}
+
 /// Random nest of depth 1..=6: a rectangular box (the only shape at
 /// every depth), or one of the paper's triangular/tetrahedral nests.
 fn arb_case() -> impl Strategy<Value = (NestSpec, Vec<i64>)> {
@@ -128,12 +317,8 @@ fn arb_case() -> impl Strategy<Value = (NestSpec, Vec<i64>)> {
         .prop_filter_map("valid domain", |(fam, d, l0, l1, l2, n)| {
             let (nest, params) = match fam {
                 0 | 1 => {
-                    let names: Vec<String> = (0..d).map(|i| format!("i{i}")).collect();
-                    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                    let s = Space::new(&name_refs, &[]);
-                    let lens = [l0, l1, l2];
-                    let bounds = (0..d).map(|i| (s.cst(0), s.cst(lens[i % 3] - 1))).collect();
-                    (NestSpec::new(s, bounds).ok()?, vec![])
+                    let lens: Vec<i64> = (0..d).map(|i| [l0, l1, l2][i % 3]).collect();
+                    (box_nest(&lens)?, vec![])
                 }
                 2 => (NestSpec::correlation(), vec![n]),
                 _ => (NestSpec::figure6(), vec![n.min(8)]),
@@ -151,30 +336,7 @@ proptest! {
     /// scheduled, recovered, or spread across threads.
     #[test]
     fn reduction_equals_sequential_fold((nest, params) in arb_case()) {
-        let collapsed = CollapseSpec::new(&nest).expect("spec")
-            .bind(&params).expect("bind");
-        let mut expect = AFF_ID;
-        run_seq(&nest.bind(&params), |p| expect = compose(expect, point_aff(p)));
-        let red = aff_reducer();
-        for &nthreads in &POOLS {
-            let pool = ThreadPool::new(nthreads);
-            for schedule in SCHEDULES {
-                for recovery in RECOVERIES {
-                    let got = collapsed.runner(&pool)
-                        .schedule(schedule)
-                        .recovery(recovery)
-                        .reduce(&red);
-                    prop_assert_eq!(got.outcome, RunOutcome::Completed);
-                    prop_assert_eq!(
-                        got.value, expect,
-                        "{} threads under {:?}/{:?}",
-                        nthreads, schedule, recovery
-                    );
-                    prop_assert_eq!(got.counters.joined, got.counters.chunks);
-                    prop_assert_eq!(got.counters.discarded, 0);
-                }
-            }
-        }
+        check_reduction_matches_seq(&nest, &params)?;
     }
 
     /// The guarded reduction equals the sequential guarded fold
@@ -192,80 +354,10 @@ proptest! {
     #[test]
     fn cancelled_prefix_plus_resume_joins_to_the_full_value(
         (nest, params) in arb_case(),
-        cancel_at in 1u64..48,
+        cancel_permille in 0u64..1000,
         nthreads in prop::sample::select(POOLS.to_vec()),
     ) {
-        let collapsed = CollapseSpec::new(&nest).expect("spec")
-            .bind(&params).expect("bind");
-        let total = collapsed.total() as u64;
-        let red = aff_reducer();
-        let pool = ThreadPool::new(nthreads);
-        for schedule in SCHEDULES {
-            for recovery in [Recovery::OncePerChunk, Recovery::BinarySearch] {
-                let full = collapsed.runner(&pool)
-                    .schedule(schedule).recovery(recovery)
-                    .reduce(&red);
-
-                let token = RunToken::new();
-                let calls = AtomicU64::new(0);
-                let cancelling = reducer(
-                    || AFF_ID,
-                    |_tid, p: &[i64], acc: &mut Aff| {
-                        if calls.fetch_add(1, Ordering::Relaxed) + 1 == cancel_at {
-                            token.cancel();
-                        }
-                        *acc = compose(*acc, point_aff(p));
-                    },
-                    compose,
-                );
-                let stopped = collapsed.runner(&pool)
-                    .schedule(schedule).recovery(recovery).token(&token)
-                    .reduce(&cancelling);
-                let done = match stopped.outcome {
-                    RunOutcome::Cancelled { points_done } => points_done,
-                    // The cancel landed in the final grid chunk (or past
-                    // the domain): the reduction legitimately completes.
-                    RunOutcome::Completed => {
-                        prop_assert_eq!(
-                            stopped.value, full.value,
-                            "a completed run must carry the full value"
-                        );
-                        continue;
-                    }
-                    other => return Err(TestCaseError::fail(format!("unexpected {other:?}"))),
-                };
-                // The prefix is grid-aligned: whole chunks, never a
-                // partial one.
-                let grain = stopped.counters.grain;
-                prop_assert!(done < total);
-                prop_assert_eq!(done % grain, 0,
-                    "points_done {} not aligned to grain {}", done, grain);
-                prop_assert_eq!(done, stopped.counters.joined * grain);
-
-                // The prefix value is the rank-order fold of the first
-                // `done` points.
-                let mut seen = 0u64;
-                let mut prefix = AFF_ID;
-                run_seq(&nest.bind(&params), |p| {
-                    if seen < done {
-                        prefix = compose(prefix, point_aff(p));
-                    }
-                    seen += 1;
-                });
-                prop_assert_eq!(stopped.value, prefix,
-                    "stopped value must be the contiguous prefix fold");
-
-                // Resume the remainder; the join reproduces the whole.
-                let resumed = collapsed.runner(&pool)
-                    .schedule(schedule).recovery(recovery).resume(done)
-                    .reduce(&red);
-                prop_assert_eq!(resumed.outcome, RunOutcome::Completed);
-                prop_assert_eq!(
-                    compose(stopped.value, resumed.value), full.value,
-                    "join(prefix, resumed) must equal the full reduction"
-                );
-            }
-        }
+        check_cancel_then_resume(&nest, &params, cancel_permille, nthreads)?;
     }
 
     /// The segmented scan emits the row-inclusive prefix aggregate at
@@ -314,6 +406,28 @@ proptest! {
                         nthreads, schedule, recovery);
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Domains of 1,024+ points at every depth 1–6 span at least four
+    /// 256-point grid chunks, so the plain and guarded joins and the
+    /// cancel/resume prefix run across several multi-point chunks,
+    /// cut mid-row on the triangle and the tetrahedron.
+    #[test]
+    fn multi_chunk_reductions_at_every_depth(
+        seed in 0u64..1 << 32,
+        cancel_permille in 0u64..1000,
+        nthreads in prop::sample::select(POOLS.to_vec()),
+    ) {
+        for (nest, params) in large_cases(seed) {
+            let chunks = check_reduction_matches_seq(&nest, &params)?;
+            prop_assert!(chunks >= 4, "depth {}: {} chunks", nest.depth(), chunks);
+            assert_guarded_reduction_matches_seq(&nest, &params);
+            check_cancel_then_resume(&nest, &params, cancel_permille, nthreads)?;
         }
     }
 }
@@ -372,9 +486,9 @@ fn empty_window_reduces_to_identity() {
     );
 }
 
-/// The proptest domains stay under 512 points (one point per grid
-/// chunk); these have grid chunks of 27 and 8 points, so the guarded
-/// walk crosses seams inside rows.
+/// The random proptest domains stay under 512 points (at most two
+/// grid chunks); these are cut into 28 and 9 chunks of 256 points, so
+/// the guarded walk crosses many seams inside rows.
 #[test]
 fn guarded_reduction_crosses_multi_point_grid_seams() {
     assert_guarded_reduction_matches_seq(&NestSpec::correlation(), &[120]);
@@ -391,7 +505,7 @@ fn level_recoveries(collapsed: &Collapsed, before: nrl_core::RecoveryStats) -> u
 /// A reduction recovers one anchor per schedule chunk, not one per grid
 /// chunk: under `Static` each pool thread gets one schedule chunk, so
 /// the level recoveries stay within depth × threads however many grid
-/// chunks (288 here) the partials are cut into.
+/// chunks (9 here) the partials are cut into.
 #[test]
 fn reduce_recovers_one_anchor_per_schedule_chunk() {
     let red = aff_reducer();
@@ -407,7 +521,11 @@ fn reduce_recovers_one_anchor_per_schedule_chunk() {
             .schedule(Schedule::Static)
             .reduce(&red);
         assert!(got.outcome.is_completed());
-        assert_eq!(got.counters.chunks, 288);
+        let total = collapsed.total() as u64;
+        assert_eq!(
+            got.counters.chunks,
+            total.div_ceil(nrl_core::reduce_grain(total))
+        );
         let recoveries = level_recoveries(&collapsed, before);
         let bound = (collapsed.depth() * nthreads) as u64;
         assert!(

@@ -17,11 +17,16 @@
 //! * [`Schedule::Guided`] — exponentially shrinking chunks
 //!   (`schedule(guided, min)`).
 //!
-//! [`ThreadPool`] keeps persistent workers parked between loops, so a
+//! [`ThreadPool`] keeps persistent workers between loops, so a
 //! `parallel_for` costs two synchronization rounds (dispatch + join), not
-//! thread spawns — mirroring an OpenMP parallel region. Per-thread
-//! iteration counts and busy times are recorded for the load-imbalance
-//! study (Fig. 2).
+//! thread spawns — mirroring an OpenMP parallel region. Like libgomp
+//! under `OMP_WAIT_POLICY`, a waiting thread spins before it sleeps: an
+//! idle worker polls for the next job, and the caller for the join, for
+//! up to 100 µs (yielding the CPU every 64 polls) before parking on a
+//! condvar, so back-to-back loops hand off without a kernel wake-up.
+//! The yields let a pool with more threads than CPUs spin too: a waiter
+//! hands its CPU to the thread it waits for. Per-thread iteration counts
+//! and busy times are recorded for the load-imbalance study (Fig. 2).
 //!
 //! # Examples
 //!

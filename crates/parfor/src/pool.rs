@@ -6,14 +6,46 @@ use crate::sync::{CachePadded, Condvar, Mutex};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long an idle worker polls for the next job, and the master for
+/// the last worker to finish, before parking on its condvar. Longer
+/// than a small loop's dispatch-to-join (a few µs), short enough that
+/// an idle pool burns at most `nthreads × SPIN_BUDGET` of CPU per run.
+const SPIN_BUDGET: Duration = Duration::from_micros(100);
+
+/// `spin_loop` hints per poll round; a spinning waiter yields its CPU
+/// between rounds, so one that shares a CPU with the thread it waits
+/// for hands that CPU over instead of starving it.
+const SPIN_ROUND: u32 = 64;
+
+/// Polls `ready` until it holds or [`SPIN_BUDGET`] has passed. Returns
+/// whether `ready` held; on `false` the caller falls back to its
+/// condvar park, which re-checks the same condition.
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    loop {
+        for _ in 0..SPIN_ROUND {
+            if ready() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        if start.elapsed() >= SPIN_BUDGET {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+}
 
 /// Type-erased reference to the loop body shared with the workers for
 /// the duration of one `run` call.
 ///
 /// Safety: the pointee lives on the caller's stack; `ThreadPool::run`
-/// does not return until every worker has finished executing it, so the
-/// reference never dangles while in use.
+/// does not return until every worker has finished executing it (the
+/// `done` barrier, reached by spinning or by parking), so the reference
+/// never dangles while in use. `master_panic_waits_for_workers_then_propagates`
+/// and the `spin_*` tests below fail if `run` ever returns early.
 #[derive(Clone, Copy)]
 struct JobPtr(*const (dyn Fn(usize) + Sync));
 
@@ -22,18 +54,18 @@ struct JobPtr(*const (dyn Fn(usize) + Sync));
 unsafe impl Send for JobPtr {}
 unsafe impl Sync for JobPtr {}
 
-struct Slot {
-    epoch: u64,
-    job: Option<JobPtr>,
-}
-
 struct Shared {
     /// Serializes [`ThreadPool::run`] across concurrent callers: held
     /// from publishing the job through the `done` barrier and the panic
     /// re-throw, so one run's `slot`, `done` count and panic payload
     /// never mix with another's.
     run_lock: Mutex<()>,
-    slot: Mutex<Slot>,
+    /// The current run's job, published under this lock.
+    slot: Mutex<Option<JobPtr>>,
+    /// Counts published jobs. Advanced only under the `slot` lock, so a
+    /// worker that re-checks it under that lock before parking cannot
+    /// miss a wake-up; a spinning worker watches it without the lock.
+    epoch: CachePadded<AtomicU64>,
     job_cv: Condvar,
     done: AtomicUsize,
     done_mutex: Mutex<()>,
@@ -70,7 +102,16 @@ impl Shared {
 
 /// A fixed-size pool of persistent worker threads implementing OpenMP
 /// `parallel for` semantics: the calling thread participates as thread 0
-/// and `nthreads − 1` workers are parked between loops.
+/// and `nthreads − 1` workers wait between loops.
+///
+/// A waiting thread spins before it sleeps, as OpenMP runtimes do
+/// (libgomp's `OMP_WAIT_POLICY`): an idle worker polls for the next
+/// job, and the caller polls for the last worker to finish, for up to
+/// 100 µs, yielding the CPU every 64 polls, and only then parks on a
+/// condvar. Back-to-back loops thus hand off without a kernel wake-up,
+/// and an idle pool stops spending CPU 100 µs after its last loop. The
+/// rule holds for a pool with more threads than CPUs too: there the
+/// yields hand the CPU to the thread being waited for.
 pub struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -88,10 +129,8 @@ impl ThreadPool {
         assert!(nthreads > 0, "a pool needs at least one thread");
         let shared = Arc::new(Shared {
             run_lock: Mutex::new(()),
-            slot: Mutex::new(Slot {
-                epoch: 0,
-                job: None,
-            }),
+            slot: Mutex::new(None),
+            epoch: CachePadded::new(AtomicU64::new(0)),
             job_cv: Condvar::new(),
             done: AtomicUsize::new(0),
             done_mutex: Mutex::new(()),
@@ -172,8 +211,8 @@ impl ThreadPool {
         {
             let mut slot = self.shared.slot.lock();
             self.shared.done.store(0, Ordering::Relaxed);
-            slot.job = Some(job);
-            slot.epoch += 1;
+            *slot = Some(job);
+            self.shared.epoch.fetch_add(1, Ordering::Release);
         }
         self.shared.job_cv.notify_all();
         // The master participates as thread 0. Its panic must not
@@ -185,12 +224,14 @@ impl ThreadPool {
                 self.shared.record_panic(payload);
             }
         }
-        let mut guard = self.shared.done_mutex.lock();
-        while self.shared.done.load(Ordering::Acquire) < nworkers {
-            self.shared.done_cv.wait(&mut guard);
+        let all_done = || self.shared.done.load(Ordering::Acquire) >= nworkers;
+        if !spin_until(all_done) {
+            let mut guard = self.shared.done_mutex.lock();
+            while !all_done() {
+                self.shared.done_cv.wait(&mut guard);
+            }
         }
-        drop(guard);
-        // Every thread is parked again: re-throw the run's first panic
+        // Every worker is waiting again: re-throw the run's first panic
         // (if any) on the caller thread, leaving the pool reusable.
         if self.shared.panicked.swap(false, Ordering::AcqRel) {
             let payload = self
@@ -315,10 +356,12 @@ impl std::fmt::Debug for ThreadPool {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         // Shutdown audit (the same barrier-leak shape as the run
-        // deadlock): workers only re-check `shutdown` while holding the
-        // slot lock, so the store-then-lock-then-notify sequence below
-        // cannot race a worker between its epoch check and its wait —
-        // every parked worker observes the flag and exits. Workers
+        // deadlock): workers only decide to park after re-checking
+        // `shutdown` while holding the slot lock, so the
+        // store-then-lock-then-notify sequence below cannot race a
+        // worker between its epoch check and its wait — every parked
+        // worker observes the flag and exits, and a spinning one sees
+        // it in its spin, then again under the lock. Workers
         // never exit mid-job: `run`'s barrier completed before we got
         // here, so joins cannot hang on a running body.
         self.shared.shutdown.store(true, Ordering::Release);
@@ -339,19 +382,30 @@ fn worker_loop(shared: Arc<Shared>, tid: usize) {
     nrl_obs::set_thread_meta(shared.obs_pid, tid as u32, &format!("nrl-parfor-{tid}"));
     let mut last_epoch = 0u64;
     loop {
+        // Spin for the next job first; the park below re-checks the
+        // epoch under the slot lock, so it returns at once when the
+        // spin saw the job (or shutdown) arrive.
+        spin_until(|| {
+            shared.epoch.load(Ordering::Acquire) != last_epoch
+                || shared.shutdown.load(Ordering::Acquire)
+        });
         let job = {
             let mut slot = shared.slot.lock();
-            while slot.epoch == last_epoch && !shared.shutdown.load(Ordering::Acquire) {
+            while shared.epoch.load(Ordering::Acquire) == last_epoch
+                && !shared.shutdown.load(Ordering::Acquire)
+            {
                 shared.job_cv.wait(&mut slot);
             }
             if shared.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            last_epoch = slot.epoch;
-            slot.job.expect("epoch advanced without a job")
+            last_epoch = shared.epoch.load(Ordering::Acquire);
+            slot.expect("epoch advanced without a job")
         };
         // SAFETY: `run` keeps the pointee alive until `done` reaches the
-        // worker count, which happens only after this call returns.
+        // worker count, which happens only after this call returns;
+        // `master_panic_waits_for_workers_then_propagates` and the
+        // `spin_*` tests catch a `run` that returns before that.
         let f = unsafe { &*job.0 };
         // A panicking body must not skip the `done` increment below —
         // that is the deadlock: `run` waits for `nworkers` increments
@@ -600,6 +654,65 @@ mod tests {
                     });
                 }
             });
+        });
+    }
+
+    /// One `Dynamic(1)` loop of `n` iterations, each counted once,
+    /// whose iterations on `slow_tid` sleep for `slow` first.
+    fn counted_loop(pool: &ThreadPool, n: u64, slow_tid: usize, slow: Duration) {
+        let seen: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+        let report = pool.parallel_for(n, Schedule::Dynamic(1), &|tid, s, e| {
+            if tid == slow_tid {
+                std::thread::sleep(slow);
+            }
+            for i in s..e {
+                seen[i as usize].fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        for (i, c) in seen.iter().enumerate() {
+            assert_eq!(c.load(Ordering::Relaxed), 1, "iteration {i}");
+        }
+        assert_eq!(report.total_iterations(), n);
+    }
+
+    #[test]
+    fn spin_handoff_and_park_fallback_count_every_iteration() {
+        // Gaps shorter than the budget hand the next job to spinning
+        // workers; longer ones find them parked. A worker slower than
+        // the budget makes the master park on `done` instead of
+        // spinning through it. The second pool has more threads than
+        // the machine has CPUs, so its waiters spin on CPUs that the
+        // threads they wait for need.
+        with_deadline(|| {
+            let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+            for nthreads in [2, cpus + 1] {
+                let pool = ThreadPool::new(nthreads);
+                let half = SPIN_BUDGET / 2;
+                let twice = SPIN_BUDGET * 2;
+                for gap in [Duration::ZERO, half, twice] {
+                    for slow in [Duration::ZERO, twice] {
+                        for _ in 0..50 {
+                            if !gap.is_zero() {
+                                std::thread::sleep(gap);
+                            }
+                            counted_loop(&pool, 64, 1, slow);
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn spin_drop_right_after_run_joins_the_workers() {
+        // The workers are still spinning for a next job when the pool
+        // drops: they must see the shutdown and exit.
+        with_deadline(|| {
+            for _ in 0..200 {
+                let pool = ThreadPool::new(2);
+                counted_loop(&pool, 16, usize::MAX, Duration::ZERO);
+                drop(pool);
+            }
         });
     }
 
