@@ -33,7 +33,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Recovery {
     /// Costly recovery at *every* iteration (the paper's worst case,
-    /// unavoidable under dynamic scheduling of single iterations).
+    /// unavoidable under dynamic scheduling of single iterations) in
+    /// [`Runner::run`](crate::Runner::run),
+    /// [`Runner::run_guarded`](crate::Runner::run_guarded) and
+    /// [`Runner::reduce`](crate::Runner::reduce).
+    /// [`Runner::scan`](crate::Runner::scan) and
+    /// [`Runner::reduce_guarded`](crate::Runner::reduce_guarded) anchor
+    /// once per chunk under every recovery; there `Naive` recovers like
+    /// [`Recovery::OncePerChunk`].
     Naive,
     /// Costly recovery once per chunk, then odometer incrementation —
     /// the paper's Fig. 4 / §V scheme, through the adaptive per-level
@@ -150,6 +157,12 @@ impl<'t> TokenCtl<'t> {
     }
 }
 
+/// How a run with the optional control block ended: its
+/// [`TokenCtl::outcome`], or `Completed` when no token was attached.
+pub(crate) fn run_outcome(ctl: Option<&TokenCtl<'_>>) -> RunOutcome {
+    ctl.map_or(RunOutcome::Completed, TokenCtl::outcome)
+}
+
 /// `collapsed.total()` as the `u64` the schedules distribute.
 pub(crate) fn total_points(collapsed: &Collapsed) -> u64 {
     let total = collapsed.total();
@@ -220,15 +233,45 @@ where
     let lb0 = nest.lower(0, &[]);
     let ub0 = nest.upper(0, &[]);
     let n_outer = (ub0 - lb0 + 1).max(0) as u64;
-    // `parallel_for` counts outer rows; the Fig. 2 imbalance is about
+    run_outer_rows(
+        pool,
+        nest,
+        n_outer,
+        schedule,
+        |s, e| (lb0 + s as i64, lb0 + e as i64),
+        body,
+    )
+}
+
+/// The row loop behind [`run_outer_parallel`] and
+/// [`run_outer_partitioned`](crate::partition::run_outer_partitioned):
+/// distributes `n_items` items under `schedule`, runs the outer rows
+/// `rows(s, e) = [lo, hi)` of each item chunk `[s, e)` with the inner
+/// levels sequential, and reports executed **points** per thread.
+pub(crate) fn run_outer_rows<F, R>(
+    pool: &ThreadPool,
+    nest: &BoundNest,
+    n_items: u64,
+    schedule: Schedule,
+    rows: R,
+    body: F,
+) -> ImbalanceReport
+where
+    F: Fn(usize, &[i64]) + Sync,
+    R: Fn(u64, u64) -> (i64, i64) + Sync,
+{
+    let d = nest.depth();
+    assert!(d >= 1, "outer-parallel execution needs at least one loop");
+    // `parallel_for` counts items; the Fig. 2 imbalance is about
     // *inner* iterations, so count executed points per thread here —
     // per-worker scratch slots, no atomics in the loop.
     let mut point_counts = WorkerLocal::new(pool.nthreads(), |_| 0u64);
-    let report = pool.parallel_for(n_outer, schedule, &|tid, s, e| {
+    let report = pool.parallel_for(n_items, schedule, &|tid, s, e| {
         let mut point = vec![0i64; d];
         let mut local = 0u64;
-        for row in s..e {
-            point[0] = lb0 + row as i64;
+        let (lo, hi) = rows(s, e);
+        for row in lo..hi {
+            point[0] = row;
             let mut call = |p: &[i64]| {
                 local += 1;
                 body(tid, p)
@@ -363,54 +406,6 @@ where
             }
         }
     })
-}
-
-/// Like [`run_outer_parallel`] but with an explicit contiguous
-/// outer-row range per thread (`ranges(tid) → [start, end)` in
-/// outer-index space): the executor for precomputed partitionings such
-/// as [`balanced_outer_cuts`](crate::partition::balanced_outer_cuts).
-pub fn run_outer_parallel_range<F, R>(
-    pool: &ThreadPool,
-    nest: &BoundNest,
-    ranges: R,
-    body: F,
-) -> ImbalanceReport
-where
-    F: Fn(usize, &[i64]) + Sync,
-    R: Fn(usize) -> (i64, i64) + Sync,
-{
-    let d = nest.depth();
-    assert!(d >= 1, "outer-parallel execution needs at least one loop");
-    let nthreads = pool.nthreads();
-    let iters: Vec<AtomicU64> = (0..nthreads).map(|_| AtomicU64::new(0)).collect();
-    let nanos: Vec<AtomicU64> = (0..nthreads).map(|_| AtomicU64::new(0)).collect();
-    let wall_start = std::time::Instant::now();
-    pool.run(&|tid| {
-        let started = std::time::Instant::now();
-        let (lo, hi) = ranges(tid);
-        let mut point = vec![0i64; d];
-        let mut local = 0u64;
-        let mut row = lo;
-        while row < hi {
-            point[0] = row;
-            let mut call = |p: &[i64]| {
-                local += 1;
-                body(tid, p)
-            };
-            walk_subtree(nest, &mut point, 1, &mut call);
-            row += 1;
-        }
-        iters[tid].store(local, Ordering::Relaxed);
-        nanos[tid].store(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    });
-    let wall = wall_start.elapsed();
-    let per_thread = (0..nthreads)
-        .map(|t| ThreadStats {
-            iterations: iters[t].load(Ordering::Relaxed),
-            busy_nanos: nanos[t].load(Ordering::Relaxed),
-        })
-        .collect();
-    ImbalanceReport::new(per_thread, wall)
 }
 
 /// Lane steps between token polls in the warp executor.

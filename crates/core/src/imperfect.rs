@@ -45,7 +45,7 @@
 //! programme) needs synchronization and stays out of scope here.
 
 use crate::collapsed::Collapsed;
-use crate::exec::{recover_chunk_anchor, worker_unrankers, Recovery, TokenCtl};
+use crate::exec::{recover_chunk_anchor, total_points, worker_unrankers, Recovery, TokenCtl};
 use crate::rowwalk::{RowSegment, RowWalker};
 use crate::unrank::MAX_DEPTH;
 use nrl_parfor::{ImbalanceReport, Schedule, ThreadPool};
@@ -260,15 +260,13 @@ pub(crate) fn run_collapsed_guarded_ctl<F>(
 where
     F: Fn(usize, &[i64], NestPosition) + Sync,
 {
-    let total = collapsed.total();
-    assert!(total >= 0, "invalid domain");
-    let total_u64 = u64::try_from(total).expect("total exceeds u64");
+    let total = total_points(collapsed);
     let d = collapsed.depth();
     let nest = collapsed.nest();
     // Same per-worker unrankers as the unguarded executor (the
     // reference ablation deliberately runs cacheless).
     let unrankers = worker_unrankers(pool, collapsed, recovery);
-    pool.parallel_for(total_u64, schedule, &|tid, s, e| {
+    pool.parallel_for(total, schedule, &|tid, s, e| {
         debug_assert!(s < e);
         if let Some(ctl) = ctl {
             if ctl.stop_requested() {

@@ -55,7 +55,7 @@ pub mod runner;
 pub mod unrank;
 
 pub use collapsed::{BindError, CollapseError, CollapseSpec, Collapsed, Unranker};
-pub use exec::{run_outer_parallel, run_outer_parallel_range, run_seq, Recovery};
+pub use exec::{run_outer_parallel, run_seq, Recovery};
 pub use imperfect::{run_seq_guarded, NestPosition};
 pub use partition::{balanced_outer_cuts, run_outer_partitioned, OuterCuts};
 pub use plan::ParamPlan;

@@ -21,8 +21,8 @@
 //!   split is granularity-free.
 
 use crate::collapsed::Collapsed;
-use crate::exec::run_outer_parallel_range;
-use nrl_parfor::{ImbalanceReport, ThreadPool};
+use crate::exec::run_outer_rows;
+use nrl_parfor::{ImbalanceReport, Schedule, ThreadPool};
 
 /// Contiguous outer-index ranges `[start, end)`, one per thread, with
 /// near-equal iteration mass. Empty ranges (`start == end`) appear when
@@ -117,6 +117,8 @@ pub fn balanced_outer_cuts(collapsed: &Collapsed, nthreads: usize) -> OuterCuts 
 
 /// Runs the original (non-collapsed) nest with each thread executing
 /// its [`OuterCuts`] row range — the idealized related-work baseline.
+/// The items are the threads' ranges: a static schedule over `T` items
+/// gives item `t` to thread `t`.
 pub fn run_outer_partitioned<F>(
     pool: &ThreadPool,
     collapsed: &Collapsed,
@@ -131,7 +133,14 @@ where
         pool.nthreads(),
         "cuts were computed for a different thread count"
     );
-    run_outer_parallel_range(pool, collapsed.nest(), |tid| cuts.range(tid), body)
+    run_outer_rows(
+        pool,
+        collapsed.nest(),
+        cuts.nthreads() as u64,
+        Schedule::Static,
+        |s, e| (cuts.cuts[s as usize], cuts.cuts[e as usize]),
+        body,
+    )
 }
 
 #[cfg(test)]
@@ -292,6 +301,41 @@ mod tests {
             .filter(|t| t.iterations > 0)
             .count();
         assert_eq!(busy_flat, 6, "the collapsed loop uses every thread");
+    }
+
+    /// Thread `t` must execute exactly the points of `cuts.range(t)`:
+    /// a cut/thread mix-up keeps coverage and the imbalance ratio but
+    /// fails here.
+    fn assert_threads_run_their_cuts(nest: &NestSpec, params: &[i64], nthreads: usize) {
+        let collapsed = collapse(nest, params);
+        let pool = ThreadPool::new(nthreads);
+        let cuts = balanced_outer_cuts(&collapsed, nthreads);
+        let report = run_outer_partitioned(&pool, &collapsed, &cuts, |_, _| {});
+        for t in 0..nthreads {
+            let (lo, hi) = cuts.range(t);
+            assert_eq!(
+                report.per_thread()[t].iterations as i128,
+                mass(nest, params, lo, hi),
+                "thread {t} of {nthreads}: {cuts:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn per_thread_points_match_cut_mass() {
+        for t in [1usize, 2, 3, 5] {
+            assert_threads_run_their_cuts(&NestSpec::correlation(), &[60], t);
+        }
+        let s = Space::new(&["i", "j"], &["R", "W"]);
+        let short_fat = NestSpec::new(
+            s.clone(),
+            vec![
+                (s.cst(0), s.var("R") - 1),
+                (s.var("i"), s.var("i") + s.var("W")),
+            ],
+        )
+        .unwrap();
+        assert_threads_run_their_cuts(&short_fat, &[2, 5000], 6);
     }
 
     #[test]

@@ -55,7 +55,9 @@
 
 use crate::collapsed::Collapsed;
 use crate::collapsed::Unranker;
-use crate::exec::{recover_chunk_anchor, total_points, worker_unrankers, Recovery, TokenCtl};
+use crate::exec::{
+    recover_chunk_anchor, run_outcome, total_points, worker_unrankers, Recovery, TokenCtl,
+};
 use crate::imperfect::{run_guarded_segment, NestPosition};
 use crate::rowwalk::RowWalker;
 use crate::unrank::MAX_DEPTH;
@@ -414,13 +416,9 @@ where
     );
     let grain = reduce_grain(total.max(1));
     if count == 0 {
-        let outcome = match ctl {
-            Some(ctl) => ctl.outcome(),
-            None => RunOutcome::Completed,
-        };
         return Reduction {
             value: joiner.identity(),
-            outcome,
+            outcome: run_outcome(ctl),
             counters: ReduceCounters {
                 grain,
                 ..ReduceCounters::default()
@@ -487,13 +485,10 @@ where
     }
     drop(join_span);
     let discarded = nproduced - joined;
-    let outcome = match ctl {
-        Some(ctl) => {
-            ctl.add_done(points);
-            ctl.outcome()
-        }
-        None => RunOutcome::Completed,
-    };
+    if let Some(ctl) = ctl {
+        ctl.add_done(points);
+    }
+    let outcome = run_outcome(ctl);
     debug_assert!(
         !outcome.is_completed() || joined == nchunks,
         "a completed reduction joins every chunk"
@@ -691,8 +686,5 @@ where
             ctl.add_done(local);
         }
     });
-    match ctl {
-        Some(ctl) => ctl.outcome(),
-        None => RunOutcome::Completed,
-    }
+    run_outcome(ctl)
 }

@@ -52,7 +52,8 @@
 
 use crate::collapsed::Collapsed;
 use crate::exec::{
-    run_collapsed_window, run_warp_sim_ctl, total_points, walk_subtree, Recovery, TokenCtl,
+    run_collapsed_window, run_outcome, run_warp_sim_ctl, total_points, walk_subtree, Recovery,
+    TokenCtl,
 };
 use crate::imperfect::{run_collapsed_guarded_ctl, NestPosition};
 use crate::reduce::{
@@ -138,13 +139,6 @@ impl<'a> Runner<'a> {
         self
     }
 
-    /// Applies both strategy axes at once.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.schedule = strategy.schedule;
-        self.recovery = strategy.recovery;
-        self
-    }
-
     /// The currently configured strategy pair (what [`run`](Self::run)
     /// would execute).
     pub fn strategy(&self) -> Strategy {
@@ -154,9 +148,10 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// `self.with_strategy(Strategy::DEFAULT)`: resets both axes to the §V default.
+    /// Resets both axes to the §V default, [`Strategy::DEFAULT`].
     pub fn auto(self) -> Self {
-        self.with_strategy(Strategy::DEFAULT)
+        self.schedule(Strategy::DEFAULT.schedule)
+            .recovery(Strategy::DEFAULT.recovery)
     }
 
     /// Attaches a cancellation/deadline token, polled at the executor's
@@ -225,40 +220,20 @@ impl<'a> Runner<'a> {
     where
         F: Fn(usize, &[i64]) + Sync,
     {
-        match self.token {
-            Some(token) => {
-                let ctl = TokenCtl::new(token);
-                let report = run_collapsed_window(
-                    self.pool,
-                    self.collapsed,
-                    base,
-                    count,
-                    self.schedule,
-                    self.recovery,
-                    Some(&ctl),
-                    body,
-                );
-                RunReport {
-                    outcome: ctl.outcome(),
-                    report,
-                }
-            }
-            None => {
-                let report = run_collapsed_window(
-                    self.pool,
-                    self.collapsed,
-                    base,
-                    count,
-                    self.schedule,
-                    self.recovery,
-                    None,
-                    body,
-                );
-                RunReport {
-                    outcome: RunOutcome::Completed,
-                    report,
-                }
-            }
+        let ctl = self.token.map(TokenCtl::new);
+        let report = run_collapsed_window(
+            self.pool,
+            self.collapsed,
+            base,
+            count,
+            self.schedule,
+            self.recovery,
+            ctl.as_ref(),
+            body,
+        );
+        RunReport {
+            outcome: run_outcome(ctl.as_ref()),
+            report,
         }
     }
 
@@ -272,36 +247,18 @@ impl<'a> Runner<'a> {
             self.skip == 0 && self.full.is_none(),
             "guarded execution has no resume/prefix form"
         );
-        match self.token {
-            Some(token) => {
-                let ctl = TokenCtl::new(token);
-                let report = run_collapsed_guarded_ctl(
-                    self.pool,
-                    self.collapsed,
-                    self.schedule,
-                    self.recovery,
-                    Some(&ctl),
-                    body,
-                );
-                RunReport {
-                    outcome: ctl.outcome(),
-                    report,
-                }
-            }
-            None => {
-                let report = run_collapsed_guarded_ctl(
-                    self.pool,
-                    self.collapsed,
-                    self.schedule,
-                    self.recovery,
-                    None,
-                    body,
-                );
-                RunReport {
-                    outcome: RunOutcome::Completed,
-                    report,
-                }
-            }
+        let ctl = self.token.map(TokenCtl::new);
+        let report = run_collapsed_guarded_ctl(
+            self.pool,
+            self.collapsed,
+            self.schedule,
+            self.recovery,
+            ctl.as_ref(),
+            body,
+        );
+        RunReport {
+            outcome: run_outcome(ctl.as_ref()),
+            report,
         }
     }
 
@@ -317,17 +274,9 @@ impl<'a> Runner<'a> {
             self.skip == 0 && self.full.is_none(),
             "warp execution has no resume/prefix form"
         );
-        match self.token {
-            Some(token) => {
-                let ctl = TokenCtl::new(token);
-                run_warp_sim_ctl(self.pool, self.collapsed, warp, Some(&ctl), body);
-                ctl.outcome()
-            }
-            None => {
-                run_warp_sim_ctl(self.pool, self.collapsed, warp, None, body);
-                RunOutcome::Completed
-            }
-        }
+        let ctl = self.token.map(TokenCtl::new);
+        run_warp_sim_ctl(self.pool, self.collapsed, warp, ctl.as_ref(), body);
+        run_outcome(ctl.as_ref())
     }
 
     /// Reduces the window with a deterministic fixed-grid parallel
@@ -358,36 +307,24 @@ impl<'a> Runner<'a> {
         A: Send,
         R: Reducer<A>,
     {
-        match self.token {
-            Some(token) => {
-                let ctl = TokenCtl::new(token);
-                run_reduce_window(
-                    self.pool,
-                    self.collapsed,
-                    base,
-                    count,
-                    self.schedule,
-                    self.recovery,
-                    Some(&ctl),
-                    reducer,
-                )
-            }
-            None => run_reduce_window(
-                self.pool,
-                self.collapsed,
-                base,
-                count,
-                self.schedule,
-                self.recovery,
-                None,
-                reducer,
-            ),
-        }
+        let ctl = self.token.map(TokenCtl::new);
+        run_reduce_window(
+            self.pool,
+            self.collapsed,
+            base,
+            count,
+            self.schedule,
+            self.recovery,
+            ctl.as_ref(),
+            reducer,
+        )
     }
 
     /// The guarded form of [`reduce`](Runner::reduce): the reducer's
     /// `accum` receives each point's [`NestPosition`], so sunken
     /// prologue/epilogue statements contribute exactly once.
+    /// Every recovery anchors once per schedule chunk and walks rows,
+    /// so [`Recovery::Naive`] runs like [`Recovery::OncePerChunk`].
     pub fn reduce_guarded<A, R>(&self, reducer: &R) -> Reduction<A>
     where
         A: Send,
@@ -395,37 +332,25 @@ impl<'a> Runner<'a> {
     {
         assert!(self.full.is_none(), "guarded reduction has no prefix form");
         let (base, count) = self.window();
-        match self.token {
-            Some(token) => {
-                let ctl = TokenCtl::new(token);
-                run_reduce_guarded_window(
-                    self.pool,
-                    self.collapsed,
-                    base,
-                    count,
-                    self.schedule,
-                    self.recovery,
-                    Some(&ctl),
-                    reducer,
-                )
-            }
-            None => run_reduce_guarded_window(
-                self.pool,
-                self.collapsed,
-                base,
-                count,
-                self.schedule,
-                self.recovery,
-                None,
-                reducer,
-            ),
-        }
+        let ctl = self.token.map(TokenCtl::new);
+        run_reduce_guarded_window(
+            self.pool,
+            self.collapsed,
+            base,
+            count,
+            self.schedule,
+            self.recovery,
+            ctl.as_ref(),
+            reducer,
+        )
     }
 
     /// Segmented scan over [`RowWalker`](crate::rowwalk::RowWalker)
     /// rows: `emit(tid, point, &acc)` observes the row-inclusive
     /// prefix aggregate at every point, independent of chunking and
     /// thread count (see [`crate::reduce`]).
+    /// Every recovery anchors once per schedule chunk and walks rows,
+    /// so [`Recovery::Naive`] runs like [`Recovery::OncePerChunk`].
     pub fn scan<A, R, E>(&self, reducer: &R, emit: E) -> RunOutcome
     where
         A: Send,
@@ -434,33 +359,18 @@ impl<'a> Runner<'a> {
     {
         assert!(self.full.is_none(), "scans have no prefix form");
         let (base, count) = self.window();
-        match self.token {
-            Some(token) => {
-                let ctl = TokenCtl::new(token);
-                run_scan_rows_window(
-                    self.pool,
-                    self.collapsed,
-                    base,
-                    count,
-                    self.schedule,
-                    self.recovery,
-                    Some(&ctl),
-                    reducer,
-                    &emit,
-                )
-            }
-            None => run_scan_rows_window(
-                self.pool,
-                self.collapsed,
-                base,
-                count,
-                self.schedule,
-                self.recovery,
-                None,
-                reducer,
-                &emit,
-            ),
-        }
+        let ctl = self.token.map(TokenCtl::new);
+        run_scan_rows_window(
+            self.pool,
+            self.collapsed,
+            base,
+            count,
+            self.schedule,
+            self.recovery,
+            ctl.as_ref(),
+            reducer,
+            &emit,
+        )
     }
 }
 

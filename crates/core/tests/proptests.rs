@@ -2,7 +2,7 @@
 //! affine nests (with validated domains), ranking is a bijection onto
 //! `1..=total`, unranking inverts it exactly, and every executor
 //! produces the same iteration multiset as the sequential reference.
-//! `Runner::auto` and `Runner::with_strategy` are held to the same bar.
+//! `Runner::auto` is held to the same bar.
 
 use nrl_core::{reducer, run_seq, CollapseSpec, Recovery, Schedule, ThreadPool};
 use nrl_polyhedra::{NestSpec, Space};
@@ -256,7 +256,8 @@ fn auto_is_bit_identical_to_the_default_strategy() {
             assert_eq!(auto.strategy(), nrl_core::Strategy::DEFAULT);
             let default = collapsed
                 .runner(&pool)
-                .with_strategy(nrl_core::Strategy::DEFAULT);
+                .schedule(Schedule::Static)
+                .recovery(Recovery::OncePerChunk);
             assert_eq!(
                 auto.reduce(&sum).value.to_bits(),
                 default.reduce(&sum).value.to_bits(),
@@ -264,26 +265,4 @@ fn auto_is_bit_identical_to_the_default_strategy() {
             );
         }
     }
-}
-
-#[test]
-fn with_strategy_matches_explicit_schedule_and_recovery() {
-    let nest = NestSpec::correlation();
-    let collapsed = CollapseSpec::new(&nest).unwrap().bind(&[40]).unwrap();
-    let pool = ThreadPool::new(3);
-    let strategy = nrl_core::Strategy {
-        schedule: Schedule::Dynamic(16),
-        recovery: Recovery::BinarySearch,
-    };
-    let sum = point_hash_sum();
-    let via_strategy = collapsed.runner(&pool).with_strategy(strategy);
-    let explicit = collapsed
-        .runner(&pool)
-        .schedule(Schedule::Dynamic(16))
-        .recovery(Recovery::BinarySearch);
-    assert_eq!(
-        via_strategy.reduce(&sum).value.to_bits(),
-        explicit.reduce(&sum).value.to_bits()
-    );
-    assert_eq!(via_strategy.strategy(), strategy);
 }

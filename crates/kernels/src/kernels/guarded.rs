@@ -139,20 +139,7 @@ impl Kernel for GuardedNest {
                     .recovery(*recovery)
                     .run_guarded(|_tid, p, pos| self.visit(p, pos));
             }
-            Mode::CollapsedWith {
-                pool,
-                schedule,
-                recovery,
-                token,
-            } => {
-                self.collapsed
-                    .runner(pool)
-                    .schedule(*schedule)
-                    .recovery(*recovery)
-                    .token(token)
-                    .run_guarded(|_tid, p, pos| self.visit(p, pos));
-            }
-            Mode::Outer { .. } | Mode::Warp { .. } | Mode::Served { .. } => {
+            Mode::Outer { .. } | Mode::Warp { .. } => {
                 panic!("guarded kernels support Seq and Collapsed modes only")
             }
         }

@@ -30,7 +30,7 @@ pub mod registry;
 pub mod shared;
 
 pub use data::Matrix;
-pub use mode::{execute_mode, execute_mode_with_outcome, Mode};
+pub use mode::{execute_mode, Mode};
 pub use reductions::{outer_sum, reduce_sum, seq_sum};
 pub use registry::{
     all_kernels, extended_kernels, guarded_kernels, kernel_by_name, set_plan_verification, Kernel,

@@ -1,39 +1,30 @@
 //! Load-balanced fusion of collapsed nests of different shapes.
 
 use crate::MorphError;
-use nrl_core::Collapsed;
+use nrl_core::unrank::MAX_DEPTH;
+use nrl_core::{Collapsed, RowWalker};
 use nrl_parfor::{ImbalanceReport, Schedule, ThreadPool};
-use nrl_polyhedra::BoundNest;
 
-/// Walks `count` iterations starting at `point` (already recovered),
-/// invoking `body` on each. The innermost level runs as a tight counted
-/// loop — a full odometer carry is paid once per row, not once per
-/// point (the same structure `nrl_core::exec` uses).
-fn walk_rows<F: FnMut(&[i64])>(nest: &BoundNest, point: &mut [i64], count: i128, body: &mut F) {
-    let d = point.len();
+/// Walks the `count ≥ 1` iterations of `collapsed` from rank `pc` on,
+/// invoking `body` on each: one recovery at `pc`, then the shared
+/// [`RowWalker`] row walk (one odometer carry per row, not per point).
+fn walk_from<F: FnMut(&[i64])>(collapsed: &Collapsed, pc: i128, count: u64, mut body: F) {
+    let d = collapsed.depth();
     if d == 0 {
         for _ in 0..count {
-            body(point);
+            body(&[]);
         }
         return;
     }
-    let last = d - 1;
+    let mut anchor = [0i64; MAX_DEPTH];
+    let anchor = &mut anchor[..d];
+    collapsed.unrank_into(pc, anchor);
+    let mut walker = RowWalker::anchor(collapsed.nest(), anchor);
     let mut remaining = count;
     while remaining > 0 {
-        let row_end = nest.upper(last, point);
-        let row_left = (row_end - point[last] + 1) as i128;
-        let take = row_left.min(remaining);
-        for _ in 0..take {
-            body(point);
-            point[last] += 1;
-        }
-        remaining -= take;
-        if remaining > 0 {
-            // One past the last executed value; step back and carry.
-            point[last] -= 1;
-            let more = nest.advance(point);
-            debug_assert!(more, "domain ended before the walk");
-        }
+        let seg = walker.next_segment(remaining);
+        walker.for_each(&seg, &mut body);
+        remaining -= seg.len;
     }
 }
 
@@ -155,15 +146,9 @@ impl FusedLoop {
     /// for [`Self::par_for_each`].
     pub fn seq_for_each<F: FnMut(usize, &[i64])>(&self, mut body: F) {
         for (part, collapsed) in self.parts.iter().enumerate() {
-            let d = collapsed.depth();
-            let mut point = vec![0i64; d.max(1)];
-            let point = &mut point[..d];
-            let total = collapsed.total();
-            if total <= 0 {
-                continue;
+            if collapsed.total() > 0 {
+                walk_from(collapsed, 1, collapsed.total() as u64, |p| body(part, p));
             }
-            collapsed.unrank_into(1, point);
-            walk_rows(collapsed.nest(), point, total, &mut |p| body(part, p));
         }
     }
 
@@ -177,25 +162,18 @@ impl FusedLoop {
         F: Fn(usize, usize, &[i64]) + Sync,
     {
         let total_u64 = u64::try_from(self.total().max(0)).expect("total exceeds u64");
-        let buf_depth = self.max_depth().max(1);
         pool.parallel_for(total_u64, schedule, &|tid, s, e| {
             debug_assert!(s < e);
-            let mut buf = vec![0i64; buf_depth];
             // Global ranks are 1-based: the chunk covers s+1 ..= e.
             let (mut part, mut local) = self.locate((s + 1) as i128);
-            let mut remaining = (e - s) as i128;
+            let mut remaining = e - s;
             while remaining > 0 {
                 let collapsed = &self.parts[part];
-                let d = collapsed.depth();
-                let point = &mut buf[..d];
-                collapsed.unrank_into(local, point);
                 // Points left in this part from `local` on, capped by
                 // the chunk.
-                let in_part = (collapsed.total() - local + 1).min(remaining);
+                let in_part = ((collapsed.total() - local + 1) as u64).min(remaining);
                 let this_part = part;
-                walk_rows(collapsed.nest(), point, in_part, &mut |p| {
-                    body(tid, this_part, p)
-                });
+                walk_from(collapsed, local, in_part, |p| body(tid, this_part, p));
                 remaining -= in_part;
                 // Enter the next non-empty part at its first point.
                 part += 1;

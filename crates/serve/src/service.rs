@@ -261,9 +261,9 @@ impl CollapseService {
 
     /// Executes a [`RunRequest`] over an already-bound plan through
     /// the service line (admission, FIFO ordering, deadline, and
-    /// fault containment — but no plan resolution). This is the
-    /// `Mode::Served` smoke path of the kernel harness and the natural
-    /// verb for a frontend that binds once and runs many times.
+    /// fault containment — but no plan resolution): the verb for a
+    /// frontend that binds once and runs many times, and the path the
+    /// `serve_overhead/served` bench measures.
     pub fn submit_bound(
         &self,
         collapsed: &Collapsed,
