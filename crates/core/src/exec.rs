@@ -117,9 +117,10 @@ impl<'t> TokenCtl<'t> {
         }
     }
 
-    /// The per-segment poll: true once the run must stop. A worker
-    /// that observes the token's stop latches the run-local flag so
-    /// later polls (on every worker) cost one relaxed load.
+    /// The per-row (or, in the reductions, per-grid-chunk) poll: true
+    /// once the run must stop. A worker that observes the token's stop
+    /// latches the run-local flag so later polls (on every worker) cost
+    /// one relaxed load.
     #[inline]
     pub(crate) fn stop_requested(&self) -> bool {
         if self.stopped.load(Ordering::Relaxed) {
@@ -297,8 +298,9 @@ where
 /// `base..base+count`) under `schedule`, distributing **iterations**
 /// (not outer rows) across threads. Within each chunk `body` observes
 /// points in the original lexicographic order. The optional
-/// [`TokenCtl`] is polled once per row segment — never per point
-/// (except the deliberately per-point Naive ablation).
+/// [`TokenCtl`] is polled once per chunk and then once per row, as the
+/// walk's stop hook — never per point (except the deliberately
+/// per-point Naive ablation).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_collapsed_window<F>(
     pool: &ThreadPool,
@@ -358,7 +360,7 @@ where
                 // re-folded — across chunk boundaries too. (The token
                 // poll is per point here too: this ablation already
                 // pays a full recovery per point, so a relaxed load is
-                // noise — and it is the one mode with no segments.)
+                // noise — and it is the one mode with no rows to walk.)
                 let unrankers = unrankers.as_ref().expect("cached modes hold unrankers");
                 unrankers.with(tid, |unranker| {
                     let mut local = 0u64;
@@ -382,24 +384,13 @@ where
             | Recovery::ClosedForm
             | Recovery::Reference => {
                 recover_chunk_anchor(collapsed, unrankers.as_ref(), recovery, tid, s, point);
-                // Row-segmented walk (the `j++` of the paper's Fig. 4):
-                // the shared `RowWalker` iterates each row as a tight
-                // innermost loop and pays one odometer carry per row.
-                // The token poll rides the same once-per-segment cadence.
+                // Fused row walk (the `j++` of the paper's Fig. 4): the
+                // shared `RowWalker` iterates each row as a tight
+                // innermost loop and carries inline at its end. The
+                // token poll is the walk's once-per-row stop hook.
                 let mut walker = RowWalker::anchor(collapsed.nest(), point);
-                let mut remaining = e - s;
-                let mut local = 0u64;
-                while remaining > 0 {
-                    if let Some(ctl) = ctl {
-                        if ctl.stop_requested() {
-                            break;
-                        }
-                    }
-                    let seg = walker.next_segment(remaining);
-                    walker.for_each(&seg, |p| body(tid, p));
-                    local += seg.len;
-                    remaining -= seg.len;
-                }
+                let stop = || ctl.is_some_and(TokenCtl::stop_requested);
+                let local = walker.walk(e - s, stop, |p| body(tid, p));
                 if let Some(ctl) = ctl {
                     ctl.add_done(local);
                 }
@@ -762,6 +753,61 @@ mod tests {
         let got = collect_parallel(|body| collapsed.runner(&pool).run(|t, p| body(t, p)));
         assert!(got.is_empty());
         run_seq(&nest.bind(&[1]), |_| panic!("no iterations expected"));
+    }
+
+    /// The token is polled once per row by `run` and once per grid
+    /// chunk by `reduce`, never once per chunk of the schedule: on one
+    /// thread (one chunk spanning the domain), a cancel from inside the
+    /// body at point `k` stops by the end of `k`'s row. The domain is
+    /// sized so every row holding a cancel point is at least one grid
+    /// chunk long, so both executors meet the same bound.
+    #[test]
+    fn token_is_polled_once_per_row() {
+        use crate::reduce::{reduce_grain, reducer};
+        let nest = NestSpec::correlation();
+        let n = 300;
+        let bound = nest.bind(&[n]);
+        let collapsed = CollapseSpec::new(&nest).unwrap().bind(&[n]).unwrap();
+        let total = collapsed.total() as u64;
+        let pool = ThreadPool::new(1);
+        for k in [1u64, 100, 299, 300, 5000, 12000] {
+            let p = collapsed.unrank(k as i128);
+            let row = (bound.upper(1, &p) - bound.lower(1, &p) + 1) as u64;
+            assert!(
+                row >= reduce_grain(total),
+                "k={k}: row shorter than a grid chunk"
+            );
+            // Cancels `token` at the `k`-th body call counted in `calls`.
+            let hit = |token: &RunToken, calls: &AtomicU64| {
+                if calls.fetch_add(1, Ordering::Relaxed) + 1 == k {
+                    token.cancel();
+                }
+            };
+            let done = |outcome: RunOutcome| outcome.points_done().expect("cancelled");
+            let (token, calls) = (RunToken::new(), AtomicU64::new(0));
+            let runner = collapsed.runner(&pool).token(&token);
+            let run = done(runner.run(|_, _| hit(&token, &calls)).outcome);
+            assert!(
+                k <= run && run <= k + row,
+                "run: k={k} row={row} done={run}"
+            );
+            let (token, calls) = (RunToken::new(), AtomicU64::new(0));
+            let count = reducer(
+                || 0u64,
+                |_, _, acc: &mut u64| {
+                    hit(&token, &calls);
+                    *acc += 1;
+                },
+                |a, b| a + b,
+            );
+            let red = collapsed.runner(&pool).token(&token).reduce(&count);
+            let joined = done(red.outcome);
+            assert_eq!(red.value, joined, "reduce: the joined prefix is what ran");
+            assert!(
+                k <= joined && joined <= k + row,
+                "reduce: k={k} row={row} done={joined}"
+            );
+        }
     }
 
     #[test]

@@ -544,12 +544,7 @@ fn accumulate_chunk<'c, F>(
         return;
     }
     let (walker, _) = seam_walker(walk, collapsed, unrankers, recovery, tid, s);
-    let mut remaining = e - s;
-    while remaining > 0 {
-        let seg = walker.next_segment(remaining);
-        walker.for_each(&seg, &mut body);
-        remaining -= seg.len;
-    }
+    walker.walk(e - s, || false, body);
 }
 
 /// The walker a schedule chunk folds its grid chunks with: the first

@@ -2,49 +2,61 @@
 //! collapsed executor.
 //!
 //! A chunk of the collapsed loop is a contiguous run of ranks, and in
-//! the original iteration space a contiguous run decomposes into **row
-//! segments**: maximal runs where only the innermost iterator moves.
-//! Walking a chunk therefore costs one inclusive-bound query per row
-//! plus one odometer carry per row transition — never a per-point
-//! bounds query. Every executor — the once-per-chunk loop, the guarded
-//! walk, the reductions and scans, the warp executor's strided advance
-//! — shares this one implementation.
+//! the original iteration space a contiguous run decomposes into **rows**:
+//! maximal runs where only the innermost iterator moves. Walking a chunk
+//! therefore costs one inclusive-bound query per row plus one odometer
+//! carry per row transition — never a per-point bounds query. Every
+//! executor — the once-per-chunk loop, the guarded walk, the reductions
+//! and scans, the warp executor's strided advance — shares this one
+//! implementation, and the row-exit scan and the carry exist once
+//! (`row_exit` and `carry`), shared by every way of driving it.
 //!
-//! The walker also exposes, for free, exactly the information the
-//! guarded (imperfect-nest) executor needs: the **carry depths** at a
-//! row's two ends.
+//! There are two ways to drive a walker:
 //!
-//! * Entering a row, the carry that produced it incremented some level
-//!   `c` and reset every deeper level to its lexicographic minimum —
-//!   so the row's first point has `pre_from = c` (all prologues from
-//!   level `c` inward fire there), pointwise identical to
-//!   [`NestPosition::of`](crate::imperfect::NestPosition::of).
-//! * Leaving a row, the first level able to advance — the level the
-//!   next carry will increment first — is `post_from` of the row's
-//!   last point (all epilogues from it inward fire).
+//! * [`walk`](RowWalker::walk) visits the next `n` points in one fused
+//!   loop — the paper's §V premise that after one recovery each point
+//!   costs what it costs in the original nest. For depths 2 and 3 the
+//!   point lives in a local `[i64; D]` for the whole call; each row runs
+//!   on a fresh copy of its prefix (so the body can vectorize) and each
+//!   row end carries inline. A `stop` hook is polled once per row, before
+//!   the row's first point: token-carrying executors pass their token
+//!   poll, every other caller a constant `false`. Every plain-body
+//!   consumer walks this way.
+//! * [`next_segment`](RowWalker::next_segment) +
+//!   [`for_each`](RowWalker::for_each) hand out one [`RowSegment`] at a
+//!   time, carrying the row's **carry depths** — exactly the information
+//!   the guarded (imperfect-nest) executors and the row scan need:
 //!
-//! Both equalities are *pointwise* (they are the same bound
-//! comparisons `NestPosition::of` performs, done once per row instead
-//! of once per point), so they hold on any domain — including domains
-//! with empty inner sub-nests, where the carry bounces.
+//!   * Entering a row, the carry that produced it incremented some level
+//!     `c` and reset every deeper level to its lexicographic minimum —
+//!     so the row's first point has `pre_from = c` (all prologues from
+//!     level `c` inward fire there), pointwise identical to
+//!     [`NestPosition::of`](crate::imperfect::NestPosition::of).
+//!   * Leaving a row, the first level able to advance — the level the
+//!     next carry will increment first — is `post_from` of the row's
+//!     last point (all epilogues from it inward fire).
 //!
-//! The carry out of a finished row is **deferred** to the next
-//! [`next_segment`](RowWalker::next_segment) call: after a segment is
-//! produced, [`for_each`](RowWalker::for_each) still sees the
-//! segment's own row prefix, and a chunk's final carry is never paid
-//! at all.
+//!   Both equalities are *pointwise* (they are the same bound
+//!   comparisons `NestPosition::of` performs, done once per row instead
+//!   of once per point), so they hold on any domain — including domains
+//!   with empty inner sub-nests, where the carry bounces.
 //!
-//! The innermost loop — the original nest's `j++`, run once per point
-//! — is [`for_each`](RowWalker::for_each), and it is compiled once per
-//! nest depth for depths 2 and 3 (every paper and benchmark shape is
-//! 2–3 deep): the row prefix is copied into a local `[i64; D]` and only
-//! its last entry changes per point. A body inlined into that loop sees a
-//! point of constant length, so a body reading constant indexes
-//! (`c0·p[0] + c1·p[1] + c2·p[2]`) becomes a register-only loop with no
-//! bounds checks, which the compiler may vectorize. Opaque bodies gain
-//! nothing: a body behind `black_box`, a `dyn Fn`, or serve's
-//! type-erased bodies still receive a slice they must index at run
-//! time. Other depths share one loop over a local `[i64; MAX_DEPTH]`.
+//! Both ways leave the walker where the other picks up: mid-row, or with
+//! the carry out of a finished row **deferred** to the next call. The
+//! deferral lets [`for_each`](RowWalker::for_each) still see a segment's
+//! own row prefix, and a chunk's final carry is never paid at all.
+//!
+//! The innermost loop — the original nest's `j++`, run once per point —
+//! is compiled once per nest depth for depths 2 and 3 (every paper and
+//! benchmark shape is 2–3 deep): the row prefix is copied into a local
+//! `[i64; D]` and only its last entry changes per point. A body inlined
+//! into that loop sees a point of constant length, so a body reading
+//! constant indexes (`c0·p[0] + c1·p[1] + c2·p[2]`) becomes a
+//! register-only loop with no bounds checks, which the compiler may
+//! vectorize. Opaque bodies gain nothing: a body behind `black_box`, a
+//! `dyn Fn`, or serve's type-erased bodies still receive a slice they
+//! must index at run time. Other depths share one loop over a local
+//! `[i64; MAX_DEPTH]`.
 
 use crate::unrank::MAX_DEPTH;
 use nrl_polyhedra::BoundNest;
@@ -73,12 +85,12 @@ pub struct RowSegment {
     pub post_from: usize,
 }
 
-/// What must happen to the walker's point before the next segment can
-/// be produced (carries are deferred so segment consumers can keep
-/// reading the current row's prefix).
+/// What must happen to the walker's point before the next row can be
+/// walked (carries are deferred so segment consumers can keep reading
+/// the current row's prefix).
 #[derive(Clone, Copy, Debug)]
 enum Pending {
-    /// Point is already the next segment's first point (fresh anchor).
+    /// Point is already the next point to visit.
     Ready,
     /// Move the innermost iterator to this value (mid-row
     /// continuation).
@@ -89,8 +101,9 @@ enum Pending {
 }
 
 /// The shared row-segmented iteration core: owns the current point and
-/// yields [`RowSegment`]s (or strided skips) over a [`BoundNest`],
-/// paying one carry per row transition.
+/// walks it over a [`BoundNest`] — fused ([`walk`](Self::walk)), by
+/// [`RowSegment`]s, or by strided skips — paying one carry per row
+/// transition.
 ///
 /// Create one per chunk anchor with [`RowWalker::anchor`] (executors
 /// recover the anchor from the chunk's first rank); the walker is
@@ -136,8 +149,8 @@ impl<'a> RowWalker<'a> {
         self.depth
     }
 
-    /// The current point — the first point of the segment that
-    /// [`next_segment`](Self::next_segment) will produce next (or, for
+    /// The current point — the next point a [`walk`](Self::walk) visits
+    /// or [`next_segment`](Self::next_segment) starts at (or, for
     /// [`skip`](Self::skip)-driven walks, the point to execute).
     ///
     /// After `next_segment`, the **prefix** `point()[..depth−1]` keeps
@@ -148,8 +161,8 @@ impl<'a> RowWalker<'a> {
         &self.point[..self.depth]
     }
 
-    /// Applies any deferred movement so `point` is the next segment's
-    /// first point.
+    /// Applies any deferred movement so `point` is the next point to
+    /// visit.
     fn resolve_pending(&mut self) {
         match self.pending {
             Pending::Ready => {}
@@ -158,11 +171,97 @@ impl<'a> RowWalker<'a> {
                 self.entry = Some(self.depth);
                 self.pending = Pending::Ready;
             }
-            Pending::Carry(carry) => {
+            Pending::Carry(level) => {
                 self.pending = Pending::Ready;
-                self.carry_into_next_row(carry);
+                self.carry_into_next_row(level);
             }
         }
+    }
+
+    /// Visits the next `n` points in lexicographic order, invoking `f`
+    /// on each (`f` always receives a slice of length
+    /// [`depth`](Self::depth)), and returns how many it visited.
+    ///
+    /// `stop` is polled once per row, before the row's first point: when
+    /// it returns `true` the walk ends there, leaving the walker at that
+    /// row's first unvisited point, and the return value counts the
+    /// points visited before it. Callers without a stop condition pass
+    /// `|| false`. A walk that ends at a row's end defers that row's
+    /// carry to the next call, as [`next_segment`](Self::next_segment)
+    /// does.
+    ///
+    /// # Panics
+    /// If the domain ends with points still owed — in release builds
+    /// too: a caller that miscounts its chunk must not run short
+    /// silently.
+    #[inline]
+    pub fn walk(&mut self, n: u64, stop: impl FnMut() -> bool, f: impl FnMut(&[i64])) -> u64 {
+        match self.depth {
+            2 => self.walk_rows::<2>(n, stop, f),
+            3 => self.walk_rows::<3>(n, stop, f),
+            _ => self.walk_rows::<MAX_DEPTH>(n, stop, f),
+        }
+    }
+
+    /// The loop behind [`walk`](Self::walk) with the point in a local
+    /// `[i64; D]`: `D` is the depth itself for the specialized depths
+    /// and `MAX_DEPTH` for the rest, which use its first `depth`
+    /// entries.
+    #[inline(always)]
+    fn walk_rows<const D: usize>(
+        &mut self,
+        mut n: u64,
+        mut stop: impl FnMut() -> bool,
+        mut f: impl FnMut(&[i64]),
+    ) -> u64 {
+        if n == 0 {
+            return 0;
+        }
+        self.resolve_pending();
+        if self.exhausted {
+            ran_past_end(n);
+        }
+        let d = if D < MAX_DEPTH { D } else { self.depth };
+        let last = d - 1;
+        let nest = self.nest;
+        let mut p = [0i64; D];
+        p[..d].copy_from_slice(&self.point[..d]);
+        let mut entry = self.entry;
+        let owed = n;
+        loop {
+            if stop() {
+                break;
+            }
+            let start = p[last];
+            let row_end = nest.upper(last, &p[..d]);
+            debug_assert!(start <= row_end, "walker sits outside its row");
+            let row_left = (row_end - start + 1) as u64;
+            if n < row_left {
+                // The walk ends mid-row: no carry.
+                row(&p, d, start, n, &mut f);
+                p[last] = start + n as i64;
+                n = 0;
+                entry = Some(d);
+                break;
+            }
+            row(&p, d, start, row_left, &mut f);
+            n -= row_left;
+            p[last] = row_end;
+            let (_, level) = row_exit(nest, &p[..d]);
+            if n == 0 {
+                // The walk ends at the row's end: defer its carry.
+                self.pending = Pending::Carry(level);
+                break;
+            }
+            entry = level.and_then(|k| carry(nest, &mut p[..d], k));
+            if entry.is_none() {
+                self.exhausted = true;
+                ran_past_end(n);
+            }
+        }
+        self.point[..d].copy_from_slice(&p[..d]);
+        self.entry = entry;
+        owed - n
     }
 
     /// Produces the next row segment, at most `limit` points long
@@ -193,8 +292,8 @@ impl<'a> RowWalker<'a> {
         // next carry's failed-increment chain, done once and reused —
         // its result is exactly `post_from` of the row's last point.
         self.point[last] = row_end;
-        let (post_from, carry) = self.scan_row_exit();
-        self.pending = Pending::Carry(carry);
+        let (post_from, level) = row_exit(self.nest, &self.point[..self.depth]);
+        self.pending = Pending::Carry(level);
         RowSegment {
             start,
             len: row_left,
@@ -209,21 +308,15 @@ impl<'a> RowWalker<'a> {
     /// [`next_segment`](Self::next_segment) (the walker still holds its
     /// row prefix).
     ///
-    /// Nests of depth 2 and 3 run a loop compiled for their depth (see
-    /// the module docs); other depths share one loop over a local copy
-    /// of the point. The walker's own point is not written.
+    /// Runs the same per-depth row loop as [`walk`](Self::walk). The
+    /// walker's own point is not written.
     #[inline]
     pub fn for_each(&self, seg: &RowSegment, mut f: impl FnMut(&[i64])) {
+        let (start, len) = (seg.start, seg.len);
         match self.depth {
-            2 => row::<2>(&self.point, seg, f),
-            3 => row::<3>(&self.point, seg, f),
-            d => {
-                let mut p = self.point;
-                for r in 0..seg.len {
-                    p[d - 1] = seg.start + r as i64;
-                    f(&p[..d]);
-                }
-            }
+            2 => row(&prefix::<2>(&self.point), 2, start, len, &mut f),
+            3 => row(&prefix::<3>(&self.point), 3, start, len, &mut f),
+            d => row(&self.point, d, start, len, &mut f),
         }
     }
 
@@ -250,88 +343,118 @@ impl<'a> RowWalker<'a> {
             }
             n -= room + 1;
             self.point[last] = row_end;
-            let (_, carry) = self.scan_row_exit();
-            self.carry_into_next_row(carry);
+            let (_, level) = row_exit(self.nest, &self.point[..self.depth]);
+            self.carry_into_next_row(level);
         }
     }
 
-    /// With the innermost iterator at its row end, finds the first
-    /// level (inward-out) still below its upper bound — the level the
-    /// next carry increments first. Returns `(post_from, carry
-    /// level)`: `post_from` of the row's last point per the
-    /// `NestPosition` convention (`depth` for depth-1 nests, matching
-    /// `NestPosition::of`, whose scans never reach level 0; `0` when
-    /// every level is exhausted), and `None` for the carry when the
-    /// whole domain is exhausted.
-    fn scan_row_exit(&self) -> (usize, Option<usize>) {
-        let mut k = self.depth - 1;
-        while k > 0 {
-            let k1 = k - 1;
-            if self.point[k1] < self.nest.upper(k1, &self.point) {
-                return (k1, Some(k1));
-            }
-            k = k1;
-        }
-        (if self.depth == 1 { 1 } else { 0 }, None)
-    }
-
-    /// Performs the row carry: increments at `carry` (proven able to
-    /// advance by [`scan_row_exit`](Self::scan_row_exit)), then
-    /// descends the lower-bound chain, re-carrying past empty
-    /// sub-nests. On success `entry` holds the outermost level that
-    /// changed — `pre_from` of the new row's first point.
-    fn carry_into_next_row(&mut self, carry: Option<usize>) {
-        let Some(mut k) = carry else {
-            self.exhausted = true;
-            return;
-        };
-        let d = self.depth;
-        // The scan proved level `k` can advance, so the first increment
-        // needs no bound check.
-        self.point[k] += 1;
-        loop {
-            // Descend: every deeper level to its lower bound.
-            let mut level = k + 1;
-            while level < d {
-                self.point[level] = self.nest.lower(level, &self.point);
-                if self.point[level] > self.nest.upper(level, &self.point) {
-                    break;
-                }
-                level += 1;
-            }
-            if level == d {
-                self.entry = Some(k);
-                return;
-            }
-            // Empty sub-nest: resume carrying at its parent.
-            k = level - 1;
-            loop {
-                self.point[k] += 1;
-                if self.point[k] <= self.nest.upper(k, &self.point) {
-                    break;
-                }
-                if k == 0 {
-                    self.exhausted = true;
-                    return;
-                }
-                k -= 1;
-            }
+    /// Performs the row carry out of a finished row (see [`carry`]),
+    /// recording the new row's entry depth, or exhaustion when `level`
+    /// is `None` or the domain ends.
+    fn carry_into_next_row(&mut self, level: Option<usize>) {
+        match level.and_then(|k| carry(self.nest, &mut self.point[..self.depth], k)) {
+            Some(entry) => self.entry = Some(entry),
+            None => self.exhausted = true,
         }
     }
 }
 
-/// The row loop of [`RowWalker::for_each`] for a nest of depth `D`:
-/// the row prefix is copied once into a local `[i64; D]` and only its
-/// innermost entry is written per point, so an inlined body sees a
-/// fixed-length point whose constant indexes need no bounds checks and
-/// can stay in registers.
+/// The walk's one failure path, kept out of the row loop.
+#[cold]
+#[inline(never)]
+fn ran_past_end(owed: u64) -> ! {
+    panic!("row walk ran past the domain's end with {owed} points still owed")
+}
+
+/// The first `D` entries of a walker's point, as a local array.
 #[inline(always)]
-fn row<const D: usize>(point: &[i64; MAX_DEPTH], seg: &RowSegment, mut f: impl FnMut(&[i64])) {
+fn prefix<const D: usize>(point: &[i64; MAX_DEPTH]) -> [i64; D] {
     let mut p = [0i64; D];
     p.copy_from_slice(&point[..D]);
-    for r in 0..seg.len {
-        p[D - 1] = seg.start + r as i64;
-        f(&p);
+    p
+}
+
+/// The row loop — the original nest's `j++` — shared by
+/// [`RowWalker::walk`] and [`RowWalker::for_each`]: visits the `len`
+/// points of the row whose prefix is `point[..d−1]`, starting at
+/// innermost value `start`. The prefix is copied into a fresh local
+/// `[i64; D]` and only its innermost entry is written per point, so an
+/// inlined body sees a fixed-length point whose constant indexes need
+/// no bounds checks and can stay in registers (a row run on the array
+/// the carry updates stops the body vectorizing).
+#[inline(always)]
+fn row<const D: usize>(
+    point: &[i64; D],
+    d: usize,
+    start: i64,
+    len: u64,
+    f: &mut impl FnMut(&[i64]),
+) {
+    let mut q = *point;
+    for r in 0..len {
+        q[d - 1] = start + r as i64;
+        f(&q[..d]);
+    }
+}
+
+/// With the innermost iterator of `p` at its row end, finds the first
+/// level (inward-out) still below its upper bound — the level the next
+/// carry increments first. Returns `(post_from, carry level)`:
+/// `post_from` of the row's last point per the `NestPosition`
+/// convention (`depth` for depth-1 nests, matching `NestPosition::of`,
+/// whose scans never reach level 0; `0` when every level is
+/// exhausted), and `None` for the carry when the whole domain is
+/// exhausted.
+#[inline(always)]
+fn row_exit(nest: &BoundNest, p: &[i64]) -> (usize, Option<usize>) {
+    let d = p.len();
+    let mut k = d - 1;
+    while k > 0 {
+        let k1 = k - 1;
+        if p[k1] < nest.upper(k1, p) {
+            return (k1, Some(k1));
+        }
+        k = k1;
+    }
+    (if d == 1 { 1 } else { 0 }, None)
+}
+
+/// The row carry: increments `p` at level `k` (proven able to advance
+/// by [`row_exit`]), then descends the lower-bound chain, re-carrying
+/// past empty sub-nests. Returns the outermost level that changed —
+/// `pre_from` of the new row's first point — or `None` when the domain
+/// is exhausted.
+#[inline(always)]
+fn carry(nest: &BoundNest, p: &mut [i64], mut k: usize) -> Option<usize> {
+    let d = p.len();
+    // The scan proved level `k` can advance, so the first increment
+    // needs no bound check.
+    p[k] += 1;
+    loop {
+        // Descend: every deeper level to its lower bound.
+        let mut level = k + 1;
+        while level < d {
+            p[level] = nest.lower(level, p);
+            if p[level] > nest.upper(level, p) {
+                break;
+            }
+            level += 1;
+        }
+        if level == d {
+            return Some(k);
+        }
+        // Empty sub-nest: resume carrying at its parent.
+        k = level - 1;
+        loop {
+            p[k] += 1;
+            if p[k] <= nest.upper(k, p) {
+                break;
+            }
+            if k == 0 {
+                return None;
+            }
+            k -= 1;
+        }
     }
 }
 
@@ -340,6 +463,7 @@ mod tests {
     use super::*;
     use crate::imperfect::NestPosition;
     use nrl_polyhedra::{NestSpec, Space};
+    use std::cell::Cell;
 
     /// A nest with empty inner sub-nests: i in 0..=2, j in i..=1 —
     /// points (0,0) (0,1) (1,1); i = 2 is empty (carry bounces).
@@ -492,10 +616,11 @@ mod tests {
         NestSpec::new(s, bounds).unwrap()
     }
 
-    /// Depths 2–3 run the per-depth `row::<D>` loop and 1, 4–6 the
-    /// fallback: both must reproduce the `BoundNest::advance`
-    /// enumeration under every chunk split and mid-row segment limit,
-    /// always handing the body a point of length `depth`.
+    /// Depths 2–3 run the per-depth row loop and 1, 4–6 the fallback:
+    /// segments and the fused walk must both reproduce the
+    /// `BoundNest::advance` enumeration under every chunk split (and
+    /// segments under every mid-row limit), always handing the body a
+    /// point of length `depth`.
     #[test]
     fn every_depth_walks_the_advance_enumeration() {
         for d in 1..=6 {
@@ -503,14 +628,7 @@ mod tests {
             extents.push(5);
             for nest in [bouncy_deep(d), NestSpec::rectangular(&extents)] {
                 let bound = nest.bind(&[]);
-                let mut points = Vec::new();
-                let mut p = bound.first_point().expect("non-empty domain");
-                loop {
-                    points.push(p.clone());
-                    if !bound.advance(&mut p) {
-                        break;
-                    }
-                }
+                let points = advance_points(&bound);
                 let total = points.len();
                 for chunk in 1..=total {
                     for limit in [1u64, 2, 3, u64::MAX] {
@@ -529,9 +647,144 @@ mod tests {
                         }
                         assert_eq!(got, points, "depth {d} chunk {chunk} limit {limit}");
                     }
+                    // The fused walk over the same chunk split.
+                    let mut got = Vec::with_capacity(total);
+                    for head in (0..total).step_by(chunk) {
+                        let mut walker = RowWalker::anchor(&bound, &points[head]);
+                        let n = chunk.min(total - head) as u64;
+                        let done = walker.walk(
+                            n,
+                            || false,
+                            |p| {
+                                assert_eq!(p.len(), d, "point length");
+                                got.push(p.to_vec());
+                            },
+                        );
+                        assert_eq!(done, n);
+                    }
+                    assert_eq!(got, points, "depth {d} chunk {chunk} fused");
                 }
             }
         }
+    }
+
+    /// The `BoundNest::advance` enumeration of a non-empty nest.
+    fn advance_points(bound: &BoundNest) -> Vec<Vec<i64>> {
+        let mut points = Vec::new();
+        let mut p = bound.first_point().expect("non-empty domain");
+        loop {
+            points.push(p.clone());
+            if !bound.advance(&mut p) {
+                break;
+            }
+        }
+        points
+    }
+
+    /// A seeded xorshift stream: `below(n)` is uniform enough in `0..n`
+    /// to pick the next driver call.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// One walker driven by a seeded mix of fused walks (some stopped
+    /// by their hook), segments, skips and `point()` reads must visit
+    /// exactly the `advance` enumeration, and every segment that knows
+    /// its entry carry must report the per-point `NestPosition`
+    /// reference — so each driver leaves the walker where the others
+    /// pick up, mid-row or with the row-end carry deferred.
+    #[test]
+    fn mixed_drivers_reproduce_the_advance_enumeration() {
+        for d in 1..=6 {
+            let mut extents = vec![2i64; d - 1];
+            extents.push(5);
+            for nest in [bouncy_deep(d), NestSpec::rectangular(&extents)] {
+                let bound = nest.bind(&[]);
+                let points = advance_points(&bound);
+                let total = points.len();
+                for seed in 1..=40u64 {
+                    let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+                    let head = rng.below(total as u64) as usize;
+                    let mut walker = RowWalker::anchor(&bound, &points[head]);
+                    let mut at = head;
+                    let ctx = |at: usize| format!("depth {d} seed {seed} at {at}");
+                    while at < total {
+                        let left = (total - at) as u64;
+                        match rng.below(5) {
+                            0 => {
+                                let k = 1 + rng.below(left.min(12));
+                                let mut got = Vec::new();
+                                let done = walker.walk(k, || false, |p| got.push(p.to_vec()));
+                                assert_eq!(done, k, "{}", ctx(at));
+                                assert_eq!(got, points[at..at + k as usize], "{}", ctx(at));
+                                at += k as usize;
+                            }
+                            1 => {
+                                // Stop at the `polls`-th row start.
+                                let k = 1 + rng.below(left);
+                                let polls = 1 + rng.below(3);
+                                let mut polled = 0;
+                                let mut stopped_at = None;
+                                let visited = Cell::new(0u64);
+                                let mut got = Vec::new();
+                                let stop = || {
+                                    polled += 1;
+                                    if polled == polls {
+                                        stopped_at = Some(visited.get());
+                                    }
+                                    polled == polls
+                                };
+                                let done = walker.walk(k, stop, |p| {
+                                    visited.set(visited.get() + 1);
+                                    got.push(p.to_vec());
+                                });
+                                assert_eq!(done, stopped_at.unwrap_or(k), "{}", ctx(at));
+                                assert_eq!(got, points[at..at + done as usize], "{}", ctx(at));
+                                at += done as usize;
+                            }
+                            2 => {
+                                let seg = walker.next_segment(1 + rng.below(left));
+                                let mut got = Vec::new();
+                                walker.for_each(&seg, |p| got.push(p.to_vec()));
+                                assert_eq!(got.len() as u64, seg.len, "{}", ctx(at));
+                                assert_eq!(got, points[at..at + got.len()], "{}", ctx(at));
+                                if let Some(pre) = seg.pre_from {
+                                    let pos = NestPosition::of(&bound, &points[at]);
+                                    assert_eq!(pre, pos.pre_from(), "{}", ctx(at));
+                                }
+                                let last = NestPosition::of(&bound, &points[at + got.len() - 1]);
+                                assert_eq!(seg.post_from, last.post_from(), "{}", ctx(at));
+                                at += got.len();
+                            }
+                            3 => {
+                                let k = rng.below(left);
+                                assert!(walker.skip(k), "{}", ctx(at));
+                                at += k as usize;
+                            }
+                            _ => assert_eq!(walker.point(), &points[at][..], "{}", ctx(at)),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A walk that owes points past the domain's end fails loudly, in
+    /// release builds too.
+    #[test]
+    #[should_panic(expected = "ran past the domain's end")]
+    fn walking_past_the_end_panics() {
+        let bound = NestSpec::correlation().bind(&[9]);
+        let total = NestSpec::correlation().count_enumerated(&[9]) as u64;
+        let mut walker = RowWalker::anchor(&bound, &[0, 1]);
+        walker.walk(total + 1, || false, |_| {});
     }
 
     #[test]

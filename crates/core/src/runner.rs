@@ -154,8 +154,8 @@ impl<'a> Runner<'a> {
             .recovery(Strategy::DEFAULT.recovery)
     }
 
-    /// Attaches a cancellation/deadline token, polled at the executor's
-    /// segment (or grid-chunk) cadence.
+    /// Attaches a cancellation/deadline token, polled once per row (or,
+    /// by the reductions, once per grid chunk).
     pub fn token(mut self, token: &'a RunToken) -> Self {
         self.token = Some(token);
         self

@@ -83,12 +83,7 @@ where
                     }
                     collapsed.unrank_into(pc, &mut point);
                     let mut walker = RowWalker::anchor(collapsed.nest(), &point);
-                    let mut remaining = len as u64;
-                    while remaining > 0 {
-                        let seg = walker.next_segment(remaining);
-                        walker.for_each(&seg, |p| body(0, p));
-                        remaining -= seg.len;
-                    }
+                    walker.walk(len as u64, || false, |p| body(0, p));
                     pc += len;
                 }
             }

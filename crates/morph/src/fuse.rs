@@ -19,13 +19,7 @@ fn walk_from<F: FnMut(&[i64])>(collapsed: &Collapsed, pc: i128, count: u64, mut 
     let mut anchor = [0i64; MAX_DEPTH];
     let anchor = &mut anchor[..d];
     collapsed.unrank_into(pc, anchor);
-    let mut walker = RowWalker::anchor(collapsed.nest(), anchor);
-    let mut remaining = count;
-    while remaining > 0 {
-        let seg = walker.next_segment(remaining);
-        walker.for_each(&seg, &mut body);
-        remaining -= seg.len;
-    }
+    RowWalker::anchor(collapsed.nest(), anchor).walk(count, || false, body);
 }
 
 /// Several collapsed nests concatenated into one flat index space.

@@ -54,21 +54,57 @@ struct JobPtr(*const (dyn Fn(usize) + Sync));
 unsafe impl Send for JobPtr {}
 unsafe impl Sync for JobPtr {}
 
+/// The job slot and the count of workers parked on `job_cv`, guarded
+/// by one lock.
+struct Slot {
+    /// The current run's job.
+    job: Option<JobPtr>,
+    /// Workers waiting on `job_cv`. A worker counts itself under the
+    /// slot lock right before it waits, after re-checking the epoch
+    /// under that lock; so a publisher that reads zero here, under the
+    /// same lock, knows every worker is either spinning or will see the
+    /// new epoch before it could wait, and may skip its notify.
+    parked: usize,
+}
+
+/// Test-only gate between a waiter's failed spin and its locked
+/// re-check: while `armed`, the waiter counts itself in `entered` and
+/// then waits, without parking, until the condition it waits for holds
+/// — so the other side's publish (a new job, the last finish) lands
+/// exactly in that window, deterministically.
+#[cfg(test)]
+#[derive(Default)]
+struct ParkGate {
+    armed: AtomicBool,
+    entered: AtomicUsize,
+}
+
+/// Indexes of [`Shared::park_gates`].
+#[cfg(test)]
+const WORKER: usize = 0;
+#[cfg(test)]
+const MASTER: usize = 1;
+
 struct Shared {
     /// Serializes [`ThreadPool::run`] across concurrent callers: held
     /// from publishing the job through the `done` barrier and the panic
     /// re-throw, so one run's `slot`, `done` count and panic payload
     /// never mix with another's.
     run_lock: Mutex<()>,
-    /// The current run's job, published under this lock.
-    slot: Mutex<Option<JobPtr>>,
+    /// The current run's job, published under this lock, and the
+    /// parked-worker count.
+    slot: Mutex<Slot>,
     /// Counts published jobs. Advanced only under the `slot` lock, so a
     /// worker that re-checks it under that lock before parking cannot
     /// miss a wake-up; a spinning worker watches it without the lock.
     epoch: CachePadded<AtomicU64>,
     job_cv: Condvar,
     done: AtomicUsize,
-    done_mutex: Mutex<()>,
+    /// Whether the master is waiting on `done_cv`: set under this lock
+    /// right before it waits, after re-checking `done` under the lock,
+    /// so the last worker reads it under the same lock and notifies
+    /// only a master that is (or is about to be) asleep.
+    master_parked: Mutex<bool>,
     done_cv: Condvar,
     shutdown: AtomicBool,
     nworkers: usize,
@@ -86,9 +122,26 @@ struct Shared {
     /// is reserved for caller threads outside any pool).
     #[cfg(feature = "obs-trace")]
     obs_pid: u32,
+    /// Per side ([`WORKER`], [`MASTER`]).
+    #[cfg(test)]
+    park_gates: [ParkGate; 2],
 }
 
 impl Shared {
+    /// Passes `side`'s [`ParkGate`]: when armed, holds the waiter
+    /// until `ready` — the condition it is about to re-check under its
+    /// lock — holds.
+    #[cfg(test)]
+    fn gate_before_park(&self, side: usize, ready: impl Fn() -> bool) {
+        let gate = &self.park_gates[side];
+        if gate.armed.load(Ordering::SeqCst) {
+            gate.entered.fetch_add(1, Ordering::SeqCst);
+            while !ready() {
+                std::thread::yield_now();
+            }
+        }
+    }
+
     /// Records a caught panic payload (first one wins) and raises the
     /// `panicked` flag so in-flight chunk loops wind down early.
     fn record_panic(&self, payload: Box<dyn std::any::Any + Send>) {
@@ -109,7 +162,9 @@ impl Shared {
 /// job, and the caller polls for the last worker to finish, for up to
 /// 100 µs, yielding the CPU every 64 polls, and only then parks on a
 /// condvar. Back-to-back loops thus hand off without a kernel wake-up,
-/// and an idle pool stops spending CPU 100 µs after its last loop. The
+/// and an idle pool stops spending CPU 100 µs after its last loop. A
+/// published job or a finished barrier notifies only waiters that have
+/// parked, so a handoff between spinning threads makes no futex call. The
 /// rule holds for a pool with more threads than CPUs too: there the
 /// yields hand the CPU to the thread being waited for.
 pub struct ThreadPool {
@@ -129,11 +184,14 @@ impl ThreadPool {
         assert!(nthreads > 0, "a pool needs at least one thread");
         let shared = Arc::new(Shared {
             run_lock: Mutex::new(()),
-            slot: Mutex::new(None),
+            slot: Mutex::new(Slot {
+                job: None,
+                parked: 0,
+            }),
             epoch: CachePadded::new(AtomicU64::new(0)),
             job_cv: Condvar::new(),
             done: AtomicUsize::new(0),
-            done_mutex: Mutex::new(()),
+            master_parked: Mutex::new(false),
             done_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             nworkers: nthreads - 1,
@@ -141,6 +199,8 @@ impl ThreadPool {
             panicked: AtomicBool::new(false),
             #[cfg(feature = "obs-trace")]
             obs_pid: nrl_obs::next_pool_id(),
+            #[cfg(test)]
+            park_gates: Default::default(),
         });
         let mut handles = Vec::with_capacity(nthreads - 1);
         for tid in 1..nthreads {
@@ -208,13 +268,18 @@ impl ThreadPool {
                 f as *const _,
             )
         });
-        {
+        let any_parked = {
             let mut slot = self.shared.slot.lock();
             self.shared.done.store(0, Ordering::Relaxed);
-            *slot = Some(job);
+            slot.job = Some(job);
             self.shared.epoch.fetch_add(1, Ordering::Release);
+            slot.parked > 0
+        };
+        // Spinning workers see the epoch move; only parked ones need
+        // the wake-up (see `Slot::parked`).
+        if any_parked {
+            self.shared.job_cv.notify_all();
         }
-        self.shared.job_cv.notify_all();
         // The master participates as thread 0. Its panic must not
         // unwind past the barrier below: the workers still hold the
         // type-erased reference to `f`'s stack frame.
@@ -226,9 +291,13 @@ impl ThreadPool {
         }
         let all_done = || self.shared.done.load(Ordering::Acquire) >= nworkers;
         if !spin_until(all_done) {
-            let mut guard = self.shared.done_mutex.lock();
+            #[cfg(test)]
+            self.shared.gate_before_park(MASTER, all_done);
+            let mut parked = self.shared.master_parked.lock();
             while !all_done() {
-                self.shared.done_cv.wait(&mut guard);
+                *parked = true;
+                self.shared.done_cv.wait(&mut parked);
+                *parked = false;
             }
         }
         // Every worker is waiting again: re-throw the run's first panic
@@ -385,22 +454,29 @@ fn worker_loop(shared: Arc<Shared>, tid: usize) {
         // Spin for the next job first; the park below re-checks the
         // epoch under the slot lock, so it returns at once when the
         // spin saw the job (or shutdown) arrive.
-        spin_until(|| {
+        let ready = || {
             shared.epoch.load(Ordering::Acquire) != last_epoch
                 || shared.shutdown.load(Ordering::Acquire)
-        });
+        };
+        let _spun = spin_until(ready);
+        #[cfg(test)]
+        if !_spun {
+            shared.gate_before_park(WORKER, ready);
+        }
         let job = {
             let mut slot = shared.slot.lock();
             while shared.epoch.load(Ordering::Acquire) == last_epoch
                 && !shared.shutdown.load(Ordering::Acquire)
             {
+                slot.parked += 1;
                 shared.job_cv.wait(&mut slot);
+                slot.parked -= 1;
             }
             if shared.shutdown.load(Ordering::Acquire) {
                 return;
             }
             last_epoch = shared.epoch.load(Ordering::Acquire);
-            slot.expect("epoch advanced without a job")
+            slot.job.expect("epoch advanced without a job")
         };
         // SAFETY: `run` keeps the pointee alive until `done` reaches the
         // worker count, which happens only after this call returns;
@@ -419,8 +495,11 @@ fn worker_loop(shared: Arc<Shared>, tid: usize) {
         }
         let prev = shared.done.fetch_add(1, Ordering::Release);
         if prev + 1 == shared.nworkers {
-            let _guard = shared.done_mutex.lock();
-            shared.done_cv.notify_one();
+            // A master still spinning sees `done`; only a parked one
+            // needs the wake-up (see `Shared::master_parked`).
+            if *shared.master_parked.lock() {
+                shared.done_cv.notify_one();
+            }
         }
     }
 }
@@ -712,6 +791,49 @@ mod tests {
                 let pool = ThreadPool::new(2);
                 counted_loop(&pool, 16, usize::MAX, Duration::ZERO);
                 drop(pool);
+            }
+        });
+    }
+
+    #[test]
+    fn handoffs_landing_between_spin_and_park_are_not_lost() {
+        // Each waiter gives up spinning and is held at its gate until
+        // the other side has acted: the master publishes the next job,
+        // or the last worker finishes, while finding nobody parked, so
+        // it skips its notify. The waiter must then find the job (or the
+        // finished barrier) under its lock instead of sleeping through
+        // it; a lost wake-up hangs the pool and trips the deadline.
+        with_deadline(|| {
+            let pool = ThreadPool::new(2);
+            let gates = &pool.shared.park_gates;
+            gates[WORKER].armed.store(true, Ordering::SeqCst);
+            // After this loop the idle worker's spin runs out and it
+            // enters the gate; the next job is published while it is
+            // held there.
+            counted_loop(&pool, 64, usize::MAX, Duration::ZERO);
+            for round in 1..=20 {
+                while gates[WORKER].entered.load(Ordering::SeqCst) < round {
+                    std::thread::yield_now();
+                }
+                counted_loop(&pool, 64, usize::MAX, Duration::ZERO);
+            }
+            gates[WORKER].armed.store(false, Ordering::SeqCst);
+            gates[MASTER].armed.store(true, Ordering::SeqCst);
+            let hits: Vec<AtomicUsize> = (0..2).map(|_| AtomicUsize::new(0)).collect();
+            for round in 1..=20 {
+                // The worker finishes only once the master, out of
+                // spin, is held at its gate.
+                pool.run(&|tid| {
+                    if tid == 1 {
+                        while gates[MASTER].entered.load(Ordering::SeqCst) < round {
+                            std::thread::yield_now();
+                        }
+                    }
+                    hits[tid].fetch_add(1, Ordering::Relaxed);
+                });
+                for h in &hits {
+                    assert_eq!(h.load(Ordering::Relaxed), round, "round {round}");
+                }
             }
         });
     }

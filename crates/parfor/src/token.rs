@@ -1,16 +1,18 @@
 //! Cooperative cancellation and deadlines for long-running sweeps.
 //!
 //! A [`RunToken`] is a cheap shared flag the collapsed executors poll
-//! once per row segment / chunk (never per point): live checks cost one
+//! once per row (the plain and guarded runs and the scan) or once per
+//! grid chunk (the reductions), never per point: live checks cost one
 //! relaxed atomic load, and a deadline adds one coarse timestamp probe
-//! at the same segment granularity. Executors that accept a token
+//! at the same granularity. Executors that accept a token
 //! return a [`RunOutcome`] describing how the run ended — completed,
 //! cancelled, or past its deadline — with the exact number of body
 //! invocations that happened before the stop was honoured.
 //!
-//! The token stops *new* segments from starting; a worker mid-segment
-//! finishes that segment first, so a cancelled run halts within one row
-//! segment per worker and the reported `points_done` stays exact.
+//! The token stops *new* rows (or grid chunks) from starting; a worker
+//! mid-row finishes that row first, so a cancelled run halts within one
+//! row (or grid chunk) per worker and the reported `points_done` stays
+//! exact.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -69,7 +71,7 @@ struct Inner {
     /// `LIVE` / `CANCELLED` / `DEADLINE`; the first cause to trip wins
     /// (compare-exchange from `LIVE` only).
     state: AtomicU8,
-    /// Absolute deadline, probed at segment granularity.
+    /// Absolute deadline, probed at the executors' poll granularity.
     deadline: Option<Instant>,
 }
 
@@ -121,8 +123,8 @@ impl RunToken {
         }
     }
 
-    /// The hot-path poll the executors run once per row segment: one
-    /// relaxed load while live, plus one timestamp probe when a
+    /// The hot-path poll the executors run once per row or grid chunk:
+    /// one relaxed load while live, plus one timestamp probe when a
     /// deadline is set. Trips (and records) the deadline cause on the
     /// first observer.
     #[inline]
