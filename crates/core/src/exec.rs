@@ -672,26 +672,28 @@ mod tests {
 
     #[test]
     fn worker_cache_survives_chunk_boundaries() {
-        // One worker, dynamic schedule with chunks far smaller than the
-        // domain: once-per-chunk recovery goes through the per-worker
-        // unranker, so every chunk after the first must *hit* the
-        // level-0 specialization cache (its prefix is empty — it can
-        // only miss once per worker). The old code rebuilt per chunk.
+        // Two workers, round-robin chunks far smaller than the domain:
+        // once-per-chunk recovery goes through the per-worker unranker,
+        // so every chunk after a worker's first must *hit* the level-0
+        // specialization cache (its prefix is empty — it can only miss
+        // once per worker). The old code rebuilt per chunk. A
+        // one-thread pool would run the domain as one block, so the
+        // test needs two threads to have chunks at all.
         let nest = NestSpec::correlation();
         let spec = CollapseSpec::new(&nest).unwrap();
         let collapsed = spec.bind(&[40]).unwrap();
         let total = collapsed.total() as u64; // 780
         let chunk = 13u64;
         let nchunks = total.div_ceil(chunk);
-        assert!(nchunks >= 2, "test needs multiple chunks");
-        let pool = ThreadPool::new(1);
+        assert!(nchunks >= 4, "test needs several chunks per worker");
+        let pool = ThreadPool::new(2);
         collapsed
             .runner(&pool)
-            .schedule(Schedule::Dynamic(chunk))
+            .schedule(Schedule::StaticChunk(chunk))
             .run(|_, _| {});
         let stats = collapsed.stats();
         assert!(
-            stats.spec_cache_hit >= nchunks - 1,
+            stats.spec_cache_hit >= nchunks - 2,
             "level-0 ladder must be reused across chunks: {stats:?} ({nchunks} chunks)"
         );
         assert!(
@@ -724,23 +726,67 @@ mod tests {
 
     #[test]
     fn mid_row_chunk_order_is_lexicographic() {
-        // One worker takes the chunks in rank order, so even with every
-        // boundary cutting a row the sweep must replay the original
-        // lexicographic order (the paper's incrementation argument
-        // across chunk anchors).
+        // Each worker takes its round-robin chunks in rank order, so
+        // even with every boundary cutting a row its sweep must replay
+        // the original lexicographic order of exactly those chunks (the
+        // paper's incrementation argument across chunk anchors).
         let nest = NestSpec::correlation();
         let spec = CollapseSpec::new(&nest).unwrap();
         let collapsed = spec.bind(&[30]).unwrap();
-        let pool = ThreadPool::new(1);
-        let seen = Mutex::new(Vec::new());
+        let (nthreads, chunk) = (2, 13);
+        let pool = ThreadPool::new(nthreads);
+        let seen: Vec<Mutex<Vec<Vec<i64>>>> = (0..nthreads).map(|_| Mutex::default()).collect();
         collapsed
             .runner(&pool)
-            .schedule(Schedule::StaticChunk(13))
-            .run(|_, p| {
-                seen.lock().unwrap().push(p.to_vec());
+            .schedule(Schedule::StaticChunk(chunk))
+            .run(|tid, p| {
+                seen[tid].lock().unwrap().push(p.to_vec());
             });
-        let seen = seen.into_inner().unwrap();
-        let expect: Vec<Vec<i64>> = nest.enumerate(&[30]).collect();
+        let all: Vec<Vec<i64>> = nest.enumerate(&[30]).collect();
+        let total = all.len() as u64;
+        for (tid, seen) in seen.into_iter().enumerate() {
+            let expect: Vec<Vec<i64>> = Schedule::static_chunks(total, nthreads, tid, chunk)
+                .flat_map(|(s, e)| all[s as usize..e as usize].iter().cloned())
+                .collect();
+            assert_eq!(seen.into_inner().unwrap(), expect, "thread {tid}");
+        }
+    }
+
+    #[test]
+    fn one_thread_pool_runs_a_dynamic_schedule_as_one_block() {
+        // Nothing to balance on one thread: `Dynamic(16)` anchors once,
+        // not once per 16 points, and walks the whole enumeration in
+        // order.
+        let nest = NestSpec::figure6();
+        let collapsed = CollapseSpec::new(&nest).unwrap().bind(&[12]).unwrap();
+        assert!(collapsed.total() > 16 * 4, "needs many Dynamic(16) chunks");
+        let levels = |s: crate::RecoveryStats| {
+            s.closed_form_exact + s.corrected + s.binary_search + s.linear_exact
+        };
+        // Level recoveries of one run (one per level an anchor solves).
+        let recovered = |nthreads: usize, schedule: Schedule| {
+            let pool = ThreadPool::new(nthreads);
+            let seen = Mutex::new(Vec::new());
+            let before = levels(collapsed.stats());
+            collapsed
+                .runner(&pool)
+                .schedule(schedule)
+                .run(|_, p| seen.lock().unwrap().push(p.to_vec()));
+            (
+                levels(collapsed.stats()) - before,
+                seen.into_inner().unwrap(),
+            )
+        };
+        let (one_block, _) = recovered(1, Schedule::Static);
+        let (dynamic, seen) = recovered(1, Schedule::Dynamic(16));
+        assert!(one_block > 0, "a run recovers its anchor");
+        assert_eq!(dynamic, one_block, "Dynamic(16) on one thread: one anchor");
+        let (chunked, _) = recovered(2, Schedule::Dynamic(16));
+        assert!(
+            chunked > one_block,
+            "two threads anchor per chunk: {chunked} vs {one_block}"
+        );
+        let expect: Vec<Vec<i64>> = nest.enumerate(&[12]).collect();
         assert_eq!(seen, expect);
     }
 

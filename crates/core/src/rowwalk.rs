@@ -53,10 +53,9 @@
 //! into that loop sees a point of constant length, so a body reading
 //! constant indexes (`c0·p[0] + c1·p[1] + c2·p[2]`) becomes a
 //! register-only loop with no bounds checks, which the compiler may
-//! vectorize. Opaque bodies gain nothing: a body behind `black_box`, a
-//! `dyn Fn`, or serve's type-erased bodies still receive a slice they
-//! must index at run time. Other depths share one loop over a local
-//! `[i64; MAX_DEPTH]`.
+//! vectorize. Opaque bodies gain nothing: a body behind `black_box` or
+//! a `dyn Fn` still receives a slice it must index at run time. Other
+//! depths share one loop over a local `[i64; MAX_DEPTH]`.
 
 use crate::unrank::MAX_DEPTH;
 use nrl_polyhedra::BoundNest;

@@ -319,6 +319,11 @@ impl ThreadPool {
     /// half-open range; the caller iterates inside. Returns an
     /// [`ImbalanceReport`] with per-thread iteration counts and busy
     /// times (the Fig. 2 measurement).
+    ///
+    /// A one-thread pool has nothing to balance, so it runs every
+    /// schedule as the single [`Schedule::Static`] block: `body(0, 0, n)`
+    /// once (never for `n = 0`), and a caller that anchors per chunk
+    /// anchors once.
     pub fn parallel_for(
         &self,
         n: u64,
@@ -326,6 +331,11 @@ impl ThreadPool {
         body: &(dyn Fn(usize, u64, u64) + Sync),
     ) -> ImbalanceReport {
         let nthreads = self.nthreads;
+        let schedule = if nthreads == 1 {
+            Schedule::Static
+        } else {
+            schedule
+        };
         let iter_counts: Vec<CachePadded<AtomicU64>> = (0..nthreads)
             .map(|_| CachePadded::new(AtomicU64::new(0)))
             .collect();
@@ -544,6 +554,27 @@ mod tests {
             **cell.lock().unwrap() = true;
         });
         assert!(touched);
+    }
+
+    #[test]
+    fn one_thread_pool_runs_every_schedule_as_one_block() {
+        let pool = ThreadPool::new(1);
+        for schedule in [
+            Schedule::Static,
+            Schedule::StaticChunk(3),
+            Schedule::Dynamic(3),
+            Schedule::Guided(3),
+        ] {
+            for n in [0u64, 1, 100] {
+                let calls = std::sync::Mutex::new(Vec::new());
+                let report = pool.parallel_for(n, schedule, &|tid, s, e| {
+                    calls.lock().unwrap().push((tid, s, e));
+                });
+                let expect = if n == 0 { vec![] } else { vec![(0, 0, n)] };
+                assert_eq!(calls.into_inner().unwrap(), expect, "{schedule:?}, n = {n}");
+                assert_eq!(report.total_iterations(), n);
+            }
+        }
     }
 
     fn coverage_check(schedule: Schedule, n: u64, threads: usize) {

@@ -5,6 +5,10 @@ use std::str::FromStr;
 
 /// An OpenMP-style schedule for distributing the iterations `0..n` of a
 /// (collapsed or outer) parallel loop across `t` threads.
+///
+/// The chunking only matters when there is more than one thread: on a
+/// one-thread pool [`ThreadPool::parallel_for`](crate::ThreadPool::parallel_for)
+/// runs every schedule as the single `Static` block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Schedule {
     /// `schedule(static)`: split into `t` near-equal contiguous blocks,
@@ -59,16 +63,6 @@ impl Schedule {
             Schedule::StaticChunk(c) => format!("static,{c}"),
             Schedule::Dynamic(c) => format!("dynamic,{c}"),
             Schedule::Guided(m) => format!("guided,{m}"),
-        }
-    }
-
-    /// Reads the schedule from the `NRL_SCHEDULE` environment variable
-    /// (same syntax as OpenMP's `OMP_SCHEDULE`, e.g. `dynamic,64`),
-    /// falling back to `default` when unset or unparsable.
-    pub fn from_env(default: Schedule) -> Schedule {
-        match std::env::var("NRL_SCHEDULE") {
-            Ok(s) => s.parse().unwrap_or(default),
-            Err(_) => default,
         }
     }
 }
@@ -224,16 +218,5 @@ mod tests {
         ] {
             assert_eq!(s.label().parse(), Ok(s));
         }
-    }
-
-    #[test]
-    fn from_env_falls_back() {
-        // Unset (or previously set by another test — use a value that
-        // cannot parse) → the default survives.
-        std::env::remove_var("NRL_SCHEDULE");
-        assert_eq!(
-            Schedule::from_env(Schedule::Dynamic(7)),
-            Schedule::Dynamic(7)
-        );
     }
 }

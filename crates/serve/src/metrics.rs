@@ -64,8 +64,8 @@ pub struct TenantStats {
 pub struct LatencyMetrics {
     /// End-to-end `bind` verb latency (resolve + instantiate).
     pub bind: Hist,
-    /// End-to-end latency of body-shaped runs (`run`/`submit` with
-    /// [`RunWork::Body`](crate::RunWork::Body), and `submit_bound`).
+    /// End-to-end latency of body-shaped runs (`run`, and
+    /// `submit_bound` with [`RunWork::Body`](crate::RunWork::Body)).
     pub run: Hist,
     /// End-to-end latency of reduction-shaped runs.
     pub reduce: Hist,

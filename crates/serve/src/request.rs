@@ -80,11 +80,14 @@ impl CollapseRequest {
     }
 }
 
-/// A reduction the service can run on a caller's behalf: the dyn-safe
-/// (object-callable) face of [`nrl_core::Reducer`], fixed at `f64`
-/// accumulators so the result crosses the boundary as one scalar (the
-/// natural shape for the future FFI surface — `f64` is `repr`-stable
-/// by definition).
+/// A reduction the service can run on a caller's behalf: the face of
+/// [`nrl_core::Reducer`] fixed at `f64` accumulators, so the result
+/// crosses the boundary as one scalar (the natural shape for the
+/// future FFI surface — `f64` is `repr`-stable by definition).
+/// [`CollapseService::reduce`](crate::CollapseService::reduce) takes
+/// it by type, so `accum` inlines into the row walk; it stays
+/// object-safe, so [`RunWork::Reduce`] (and any caller) can pass it as
+/// `&dyn ServeReducer` at one virtual call per point.
 ///
 /// The same determinism contract as the engine applies: the service
 /// folds per-chunk partials in fixed chunk-index order, so the reply's
@@ -100,7 +103,11 @@ pub trait ServeReducer: Sync {
     fn join(&self, left: f64, right: f64) -> f64;
 }
 
-/// What a run request executes over the instantiated domain.
+/// What a run request executes over the instantiated domain, as
+/// `dyn` references: [`CollapseService::submit_bound`](crate::CollapseService::submit_bound)
+/// runs it through the same execution path as the typed
+/// [`run`](crate::CollapseService::run)/[`reduce`](crate::CollapseService::reduce),
+/// with one virtual call per point.
 pub enum RunWork<'w> {
     /// A side-effecting loop body, invoked once per point.
     Body(&'w (dyn Fn(usize, &[i64]) + Sync)),

@@ -11,24 +11,30 @@
 //!   coalesced plan resolution + instantiation, returning the bound
 //!   `Arc<Collapsed>` handle. Herds of callers binding one uncached
 //!   shape share a single analysis.
-//! * [`CollapseService::submit`] — resolves the plan the same way,
-//!   then executes a [`RunWork`] (a loop body or a deterministic
-//!   reduction) on the pool. The caller takes a ticket in the line
-//!   (or is rejected at once when the line is full — backpressure is
+//! * [`CollapseService::run`] and [`CollapseService::reduce`] — resolve
+//!   the plan the same way, then execute a loop body or a deterministic
+//!   reduction on the pool. The caller takes a ticket in the line (or
+//!   is rejected at once when the line is full — backpressure is
 //!   explicit, not implicit latency), waits for its turn, and runs.
-//!   [`CollapseService::run`] and [`CollapseService::reduce`] are the
-//!   body/reducer conveniences over it.
+//!   Both take the body or reducer by type, so each request's row walk
+//!   inlines it; a `&dyn` argument works too and runs behind one
+//!   virtual call per point.
 //! * [`CollapseService::submit_bound`] — executes a [`RunRequest`]
 //!   over an already-bound plan through the same line (admission,
 //!   FIFO ordering, deadline, fault containment — no plan
-//!   resolution).
+//!   resolution). Its [`RunWork`] carries the work as `&dyn`.
+//!
+//! All three execute through one generic path, instantiated at the
+//! caller's types for `run`/`reduce` and at the `dyn` types for
+//! `submit_bound`, so a typed and a `dyn` request give the same reply.
 //!
 //! Runs are serialized in admission order — each run already spreads
 //! over the whole pool, so the line orders *pool-wide* runs rather
 //! than oversubscribing workers, and the before/after recovery delta
 //! of each run stays exact. Concurrency across callers comes from
 //! admission (many callers wait; the herd coalesces on analysis), not
-//! from overlapping pool runs.
+//! from overlapping pool runs. On a one-worker pool every schedule
+//! runs as one block (see [`ServeConfig::workers`]).
 //!
 //! # Fault containment
 //!
@@ -65,7 +71,9 @@ fn lock_immune<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Threads in the execution pool, including the calling thread:
-    /// an admitted caller runs as thread 0 of its own run.
+    /// an admitted caller runs as thread 0 of its own run. With one
+    /// worker there is nothing to balance, so every schedule a request
+    /// pins runs as one block: one anchor recovery per run.
     pub workers: usize,
     /// Most admitted callers that may wait for the pool at once
     /// (minimum 1); past it a run is rejected with
@@ -92,19 +100,37 @@ impl Default for ServeConfig {
     }
 }
 
-/// Adapts a dyn [`ServeReducer`] to the engine's [`Reducer`] trait for
-/// [`Runner::reduce`](nrl_core::Runner::reduce).
-struct DynReducer<'r>(&'r dyn ServeReducer);
+/// Adapts a [`ServeReducer`] — typed or `dyn` — to the engine's
+/// [`Reducer`] trait for [`Runner::reduce`](nrl_core::Runner::reduce).
+struct AsReducer<'r, R: ?Sized>(&'r R);
 
-impl Reducer<f64> for DynReducer<'_> {
+impl<R: ServeReducer + ?Sized> Reducer<f64> for AsReducer<'_, R> {
+    #[inline]
     fn identity(&self) -> f64 {
         self.0.identity()
     }
+    #[inline]
     fn accum(&self, tid: usize, point: &[i64], acc: &mut f64) {
         self.0.accum(tid, point, acc)
     }
+    #[inline]
     fn join(&self, left: f64, right: f64) -> f64 {
         self.0.join(left, right)
+    }
+}
+
+/// One execution's work, by type: [`CollapseService::run`] and
+/// [`CollapseService::reduce`] instantiate it at the caller's body and
+/// reducer types, [`CollapseService::submit_bound`] at the `dyn` types
+/// of [`RunWork`].
+enum Work<'w, F: ?Sized, R: ?Sized> {
+    Body(&'w F),
+    Reduce(&'w R),
+}
+
+impl<F: ?Sized, R: ?Sized> Work<'_, F, R> {
+    fn is_reduce(&self) -> bool {
+        matches!(self, Work::Reduce(_))
     }
 }
 
@@ -196,67 +222,36 @@ impl CollapseService {
         }
     }
 
-    /// Serves an execution request end to end: coalesced plan
-    /// resolution, then an execution of `work` over every point of the
+    /// Serves a body-shaped request end to end: coalesced plan
+    /// resolution, then `body(tid, point)` over every point of the
     /// instantiated domain on the service pool, both on the caller
     /// thread. Blocks until the run finished (or admission rejected
-    /// it); the reply carries the outcome, the run's recovery-counter
-    /// delta, and — for [`RunWork::Reduce`] — the deterministic
-    /// reduction value.
+    /// it); the reply carries the outcome and the run's
+    /// recovery-counter delta.
     ///
     /// `request.ctx.schedule` / `request.ctx.recovery` configure the
     /// execution; an axis the context leaves unpinned comes from
-    /// [`Strategy::DEFAULT`].
-    pub fn submit(
-        &self,
-        request: &CollapseRequest,
-        work: RunWork<'_>,
-    ) -> Result<RunReply, ServeError> {
-        let trace = TraceId::next().0;
-        let is_reduce = matches!(work, RunWork::Reduce(_));
-        let _verb = span_traced("serve", verb_name(is_reduce), trace);
-        let t_verb = now_ns();
-        self.admit(request.tenant)?;
-        let collapsed = match self.resolve(request, trace) {
-            Ok(resolved) => resolved,
-            Err(e) => {
-                self.with_tenant(request.tenant, |t| {
-                    t.inflight -= 1;
-                    t.plan_failed += 1;
-                });
-                return Err(e);
-            }
-        };
-        let run = RunRequest {
-            tenant: request.tenant,
-            schedule: request.ctx.schedule.unwrap_or(Strategy::DEFAULT.schedule),
-            recovery: request.ctx.recovery.unwrap_or(Strategy::DEFAULT.recovery),
-            deadline: request.deadline,
-            work,
-        };
-        let reply = self.execute(&collapsed, run, trace)?;
-        self.verb_hist(is_reduce)
-            .record(now_ns().saturating_sub(t_verb));
-        Ok(reply)
+    /// [`Strategy::DEFAULT`]. The body is taken by type, so the row
+    /// walk inlines it; a `&dyn Fn` body runs the same path behind a
+    /// virtual call per point.
+    pub fn run<F>(&self, request: &CollapseRequest, body: &F) -> Result<RunReply, ServeError>
+    where
+        F: Fn(usize, &[i64]) + Sync + ?Sized,
+    {
+        self.serve(request, Work::<F, dyn ServeReducer>::Body(body))
     }
 
-    /// Body-shaped convenience over [`submit`](Self::submit).
-    pub fn run(
-        &self,
-        request: &CollapseRequest,
-        body: &(dyn Fn(usize, &[i64]) + Sync),
-    ) -> Result<RunReply, ServeError> {
-        self.submit(request, RunWork::Body(body))
-    }
-
-    /// Reduction-shaped convenience over [`submit`](Self::submit): the
-    /// reply's [`reduced`](RunReply::reduced) field carries the value.
-    pub fn reduce(
-        &self,
-        request: &CollapseRequest,
-        reducer: &dyn ServeReducer,
-    ) -> Result<RunReply, ServeError> {
-        self.submit(request, RunWork::Reduce(reducer))
+    /// Reduction-shaped form of [`run`](Self::run): the reply's
+    /// [`reduced`](RunReply::reduced) field carries the deterministic
+    /// value. The reducer is taken by type, like `run`'s body.
+    pub fn reduce<R>(&self, request: &CollapseRequest, reducer: &R) -> Result<RunReply, ServeError>
+    where
+        R: ServeReducer + ?Sized,
+    {
+        self.serve(
+            request,
+            Work::<dyn Fn(usize, &[i64]) + Sync, R>::Reduce(reducer),
+        )
     }
 
     /// Executes a [`RunRequest`] over an already-bound plan through
@@ -269,12 +264,27 @@ impl CollapseService {
         collapsed: &Collapsed,
         request: RunRequest<'_>,
     ) -> Result<RunReply, ServeError> {
+        let work = match request.work {
+            RunWork::Body(body) => Work::Body(body),
+            RunWork::Reduce(reducer) => Work::Reduce(reducer),
+        };
         let trace = TraceId::next().0;
-        let is_reduce = matches!(request.work, RunWork::Reduce(_));
+        let is_reduce = work.is_reduce();
         let _verb = span_traced("serve", verb_name(is_reduce), trace);
         let t_verb = now_ns();
         self.admit(request.tenant)?;
-        let reply = self.execute(collapsed, request, trace)?;
+        let strategy = Strategy {
+            schedule: request.schedule,
+            recovery: request.recovery,
+        };
+        let reply = self.execute(
+            collapsed,
+            request.tenant,
+            strategy,
+            request.deadline,
+            work,
+            trace,
+        )?;
         self.verb_hist(is_reduce)
             .record(now_ns().saturating_sub(t_verb));
         Ok(reply)
@@ -355,6 +365,49 @@ impl CollapseService {
         }
     }
 
+    /// `run` and `reduce`: admission, coalesced plan resolution, then
+    /// [`execute`](Self::execute) with the context's strategy.
+    fn serve<F, R>(
+        &self,
+        request: &CollapseRequest,
+        work: Work<'_, F, R>,
+    ) -> Result<RunReply, ServeError>
+    where
+        F: Fn(usize, &[i64]) + Sync + ?Sized,
+        R: ServeReducer + ?Sized,
+    {
+        let trace = TraceId::next().0;
+        let is_reduce = work.is_reduce();
+        let _verb = span_traced("serve", verb_name(is_reduce), trace);
+        let t_verb = now_ns();
+        self.admit(request.tenant)?;
+        let collapsed = match self.resolve(request, trace) {
+            Ok(resolved) => resolved,
+            Err(e) => {
+                self.with_tenant(request.tenant, |t| {
+                    t.inflight -= 1;
+                    t.plan_failed += 1;
+                });
+                return Err(e);
+            }
+        };
+        let strategy = Strategy {
+            schedule: request.ctx.schedule.unwrap_or(Strategy::DEFAULT.schedule),
+            recovery: request.ctx.recovery.unwrap_or(Strategy::DEFAULT.recovery),
+        };
+        let reply = self.execute(
+            &collapsed,
+            request.tenant,
+            strategy,
+            request.deadline,
+            work,
+            trace,
+        )?;
+        self.verb_hist(is_reduce)
+            .record(now_ns().saturating_sub(t_verb));
+        Ok(reply)
+    }
+
     /// Takes a ticket in the line — or rejects at once when
     /// `queue_capacity` callers already wait — and parks until the
     /// ticket is called.
@@ -391,18 +444,25 @@ impl CollapseService {
 
     /// Admits one execution into the line, waits for its turn, and
     /// runs it on the pool on the caller thread with the body panic
-    /// contained.
-    fn execute(
+    /// contained. The one execution path of every verb, generic over
+    /// the work's types.
+    fn execute<F, R>(
         &self,
         collapsed: &Collapsed,
-        request: RunRequest<'_>,
+        tenant: Tenant,
+        strategy: Strategy,
+        deadline: Option<Duration>,
+        work: Work<'_, F, R>,
         trace: u64,
-    ) -> Result<RunReply, ServeError> {
-        let tenant = request.tenant;
+    ) -> Result<RunReply, ServeError>
+    where
+        F: Fn(usize, &[i64]) + Sync + ?Sized,
+        R: ServeReducer + ?Sized,
+    {
         // The token is armed *now*: waiting in line counts against the
         // deadline, so a request that rots in the line reports
         // `DeadlineExpired { points_done: 0 }` instead of running late.
-        let token = match request.deadline {
+        let token = match deadline {
             Some(d) => RunToken::with_deadline(d),
             None => RunToken::new(),
         };
@@ -415,16 +475,16 @@ impl CollapseService {
         let before = collapsed.stats();
         let runner = collapsed
             .runner(&self.pool)
-            .schedule(request.schedule)
-            .recovery(request.recovery)
+            .schedule(strategy.schedule)
+            .recovery(strategy.recovery)
             .token(&token);
         let t_exec = now_ns();
         let ran = {
             let _exec = span_traced("serve", "serve.exec", trace);
-            catch_unwind(AssertUnwindSafe(|| match request.work {
-                RunWork::Body(body) => (runner.run(body).outcome, None),
-                RunWork::Reduce(reducer) => {
-                    let red = runner.reduce(&DynReducer(reducer));
+            catch_unwind(AssertUnwindSafe(|| match work {
+                Work::Body(body) => (runner.run(body).outcome, None),
+                Work::Reduce(reducer) => {
+                    let red = runner.reduce(&AsReducer(reducer));
                     (red.outcome, Some(red.value))
                 }
             }))
@@ -846,6 +906,115 @@ mod tests {
         assert_eq!(reply.reduced, Some(expect));
     }
 
+    /// Σ 1/(1 + 3i + j): an association-sensitive fold, so any change
+    /// in grid or join order shows in the bits.
+    struct Harmonic;
+
+    impl ServeReducer for Harmonic {
+        fn identity(&self) -> f64 {
+            0.0
+        }
+        fn accum(&self, _tid: usize, p: &[i64], acc: &mut f64) {
+            *acc += 1.0 / (1 + 3 * p[0] + p[1]) as f64;
+        }
+        fn join(&self, left: f64, right: f64) -> f64 {
+            left + right
+        }
+    }
+
+    /// What must agree between a typed and a `dyn` request: the
+    /// outcome, the bits of the reduced value and the recovery delta
+    /// (or the error).
+    fn reply_key(
+        reply: Result<RunReply, ServeError>,
+    ) -> Result<(RunOutcome, Option<u64>, nrl_core::RecoveryStats), ServeError> {
+        reply.map(|r| (r.outcome, r.reduced.map(f64::to_bits), r.recovery))
+    }
+
+    #[test]
+    fn typed_and_dyn_requests_give_identical_replies() {
+        let service = CollapseService::new(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        });
+        let n = 120;
+        let collapsed = service.bind(&request(n, 30)).unwrap();
+        let cases = [
+            (Schedule::Static, None),
+            (Schedule::StaticChunk(7), None),
+            (Schedule::Static, Some(Duration::ZERO)),
+        ];
+        for (schedule, deadline) in cases {
+            let ctx = nrl_plan::PlanContext {
+                schedule: Some(schedule),
+                recovery: None,
+            };
+            let mut req = request(n, 30).with_ctx(ctx);
+            let bound = |work| {
+                let r = RunRequest::new(Tenant(30), work).with_schedule(schedule);
+                match deadline {
+                    Some(d) => r.with_deadline(d),
+                    None => r,
+                }
+            };
+            if let Some(d) = deadline {
+                req = req.with_deadline(d);
+            }
+            let label = format!("{schedule:?}, deadline {deadline:?}");
+
+            let sum = AtomicI64::new(0);
+            let body = |_t: usize, p: &[i64]| {
+                sum.fetch_add(3 * p[0] + p[1], Ordering::Relaxed);
+            };
+            let dyn_body: &(dyn Fn(usize, &[i64]) + Sync) = &body;
+            let mut replies = Vec::new();
+            let mut record =
+                |reply| replies.push((reply_key(reply), sum.swap(0, Ordering::Relaxed)));
+            record(service.run(&req, &body));
+            record(service.run(&req, dyn_body));
+            record(service.submit_bound(&collapsed, bound(RunWork::Body(&body))));
+            assert!(replies[0].0.is_ok(), "{label}");
+            assert_eq!(replies[0], replies[1], "run: typed vs dyn, {label}");
+            assert_eq!(replies[0], replies[2], "run vs submit_bound, {label}");
+
+            let dyn_reducer: &dyn ServeReducer = &Harmonic;
+            let replies = [
+                service.reduce(&req, &Harmonic),
+                service.reduce(&req, dyn_reducer),
+                service.submit_bound(&collapsed, bound(RunWork::Reduce(&Harmonic))),
+            ]
+            .map(reply_key);
+            assert!(
+                matches!(replies[0], Ok((_, Some(_), _))),
+                "{label}: a reduction carries a value"
+            );
+            assert_eq!(replies[0], replies[1], "reduce: typed vs dyn, {label}");
+            assert_eq!(replies[0], replies[2], "reduce vs submit_bound, {label}");
+        }
+
+        // A panicking body fails the same way on every path, and the
+        // next caller is served after each.
+        let panicky = |_t: usize, p: &[i64]| {
+            if p[0] == 60 {
+                panic!("injected body fault");
+            }
+        };
+        let dyn_panicky: &(dyn Fn(usize, &[i64]) + Sync) = &panicky;
+        let req = request(n, 30);
+        let fail_then_serve = |path: &str, reply: Result<RunReply, ServeError>| {
+            assert_eq!(reply.unwrap_err(), ServeError::BodyPanicked, "{path}");
+            let next = service.reduce(&req, &Harmonic).unwrap();
+            assert!(next.outcome.is_completed(), "{path}: next caller");
+        };
+        fail_then_serve("typed run", service.run(&req, &panicky));
+        fail_then_serve("dyn run", service.run(&req, dyn_panicky));
+        let work = RunWork::Body(&panicky);
+        let reply = service.submit_bound(&collapsed, RunRequest::new(Tenant(30), work));
+        fail_then_serve("submit_bound", reply);
+        let (_, t) = service.metrics().tenants[0];
+        assert_eq!((t.body_panicked, t.inflight), (3, 0));
+    }
+
     #[test]
     fn deadline_expired_reduction_reports_the_prefix() {
         let service = CollapseService::new(ServeConfig::default());
@@ -882,7 +1051,7 @@ mod tests {
         assert_eq!(m.latency.run.count(), 1);
         assert_eq!(m.latency.reduce.count(), 1);
         assert_eq!(m.latency.bind.count(), 1);
-        // submit + reduce + bind all resolved; queue_wait/exec saw the
+        // run + reduce + bind all resolved; queue_wait/exec saw the
         // two executed runs.
         assert_eq!(m.latency.resolve.count(), 3);
         assert_eq!(m.latency.queue_wait.count(), 2);
