@@ -4,7 +4,8 @@
 //!    once-per-chunk vs. pure binary search — on a collapsed loop with
 //!    a trivial body, so recovery cost dominates.
 //! 2. Chunk-size sweep for `schedule(static, chunk)` on the collapsed
-//!    correlation loop.
+//!    correlation loop. With `--threads 1` every row runs as one static
+//!    block (see `Schedule::effective`) and is marked `(as static)`.
 //! 3. Warp-width sweep for the §VI.B scheme.
 //! 4. The related-work baseline (§VIII): exact outer partitioning à la
 //!    Sakellariou \[14\] / Kafri–Sbeih \[16\], computed from the ranking
@@ -19,7 +20,7 @@
 //! cargo run --release -p nrl-bench --bin ablation -- [--n 1500] [--threads N] [--reps 3]
 //! ```
 
-use nrl_bench::{fmt_duration, time_median, Args, Table};
+use nrl_bench::{as_run, fmt_duration, time_median, Args, Table};
 use nrl_core::{
     balanced_outer_cuts, run_outer_parallel, run_outer_partitioned, CollapseSpec, Recovery,
     Schedule, ThreadPool,
@@ -89,7 +90,10 @@ fn main() {
                 .report
                 .wall()
         });
-        t2.row(vec![schedule.label(), fmt_duration(t)]);
+        t2.row(vec![
+            as_run(schedule.label(), schedule, threads),
+            fmt_duration(t),
+        ]);
     }
     println!("{}", t2.render());
 

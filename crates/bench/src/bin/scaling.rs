@@ -5,8 +5,12 @@
 //! ```text
 //! cargo run --release -p nrl-bench --bin scaling -- [--kernel correlation] [--scale 1.0] [--reps 3]
 //! ```
+//!
+//! A one-thread pool runs every schedule as one static block (see
+//! `Schedule::effective`), so the `threads = 1` row's `outer-dynamic`
+//! cell measures outer-static and is marked `(as static)`.
 
-use nrl_bench::{fmt_duration, time_median, Args, Table};
+use nrl_bench::{as_run, fmt_duration, time_median, Args, Table};
 use nrl_core::{Recovery, Schedule, ThreadPool};
 use nrl_kernels::{kernel_by_name, Mode};
 
@@ -60,9 +64,10 @@ fn main() {
             pool: &pool,
             schedule: Schedule::Static,
         });
+        let dynamic = Schedule::Dynamic(1);
         let t_dynamic = timed(&Mode::Outer {
             pool: &pool,
-            schedule: Schedule::Dynamic(1),
+            schedule: dynamic,
         });
         let t_coll = timed(&Mode::Collapsed {
             pool: &pool,
@@ -72,7 +77,7 @@ fn main() {
         table.row(vec![
             threads.to_string(),
             fmt_duration(t_static),
-            fmt_duration(t_dynamic),
+            as_run(fmt_duration(t_dynamic), dynamic, threads),
             fmt_duration(t_coll),
             format!("{:.2}×", t_seq.as_secs_f64() / t_coll.as_secs_f64()),
         ]);

@@ -102,6 +102,19 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
+/// `cell` as printed for a run requested under `schedule` on an
+/// `nthreads` pool: marked `(as static)` when the pool runs it as the
+/// single static block instead (a one-thread pool, see
+/// [`Schedule::effective`](nrl_parfor::Schedule::effective)), so a
+/// table never shows a schedule it did not measure.
+pub fn as_run(cell: String, schedule: nrl_parfor::Schedule, nthreads: usize) -> String {
+    if schedule.effective(nthreads) == schedule {
+        cell
+    } else {
+        format!("{cell} (as static)")
+    }
+}
+
 /// A plain-text table printer with right-aligned numeric columns.
 pub struct Table {
     headers: Vec<String>,

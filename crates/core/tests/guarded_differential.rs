@@ -219,10 +219,11 @@ fn single_iteration_rows_fire_prologue_and_epilogue_together() {
 
 /// A chunk boundary placed **inside** a row must hand the epilogue to
 /// the chunk that owns the row's last point and the prologue to the
-/// one that owns its first: with one thread and a chunk size smaller
+/// one that owns its first: with two threads and a chunk size smaller
 /// than every row, each dynamic chunk anchors mid-row (exercising the
 /// anchor `NestPosition::of` + carry-derived guards hand-off on every
-/// chunk seam).
+/// chunk seam). Two threads, because a one-thread pool runs every
+/// schedule as one block and so has no seams.
 #[test]
 fn chunk_seams_inside_rows_assign_guards_to_the_right_points() {
     let nest = NestSpec::correlation();
@@ -231,7 +232,7 @@ fn chunk_seams_inside_rows_assign_guards_to_the_right_points() {
     expect.sort();
     let spec = CollapseSpec::new(&nest).unwrap();
     let collapsed = spec.bind(&[30]).unwrap();
-    let pool = ThreadPool::new(1);
+    let pool = ThreadPool::new(2);
     for chunk in [1u64, 2, 3, 5] {
         for recovery in [Recovery::OncePerChunk, Recovery::BinarySearch] {
             let seen = Mutex::new(Vec::new());
@@ -251,30 +252,67 @@ fn chunk_seams_inside_rows_assign_guards_to_the_right_points() {
     }
 }
 
-/// On a single thread — one static chunk, or row-cutting chunks taken
-/// in rank order — the guarded executor must reproduce the reference
-/// stream **in order**, not just as a multiset: the row segmentation
-/// preserves the lexicographic walk across chunk anchors.
+/// Each thread walks its own chunks in rank order, so the guarded
+/// executor must give every thread exactly the reference instances of
+/// its points **in order**, not just as a multiset: the row
+/// segmentation preserves the lexicographic walk across chunk anchors.
+/// One thread gets the whole stream; on two threads, chunks of 8 cut
+/// rows, so each thread's stream crosses anchors that start mid-row.
 #[test]
 fn single_chunk_guarded_stream_is_in_order() {
     let nest = NestSpec::figure6();
     let bound = nest.bind(&[9]);
-    let expect = imperfect_reference(&bound);
+    let reference = imperfect_reference(&bound);
+    // Each point's instances in reference order: the prologues that
+    // open its rows, its body, and the epilogues that close them.
+    let mut per_point: Vec<Vec<Instance>> = Vec::new();
+    let mut pending = Vec::new();
+    for instance in reference.iter().cloned() {
+        match instance {
+            Instance::Pre(..) => pending.push(instance),
+            Instance::Body(_) => {
+                pending.push(instance);
+                per_point.push(std::mem::take(&mut pending));
+            }
+            Instance::Post(..) => per_point.last_mut().unwrap().push(instance),
+        }
+    }
+    let total = per_point.len() as u64;
     let spec = CollapseSpec::new(&nest).unwrap();
     let collapsed = spec.bind(&[9]).unwrap();
-    let pool = ThreadPool::new(1);
-    // One worker takes chunks in rank order, so chunks of 8 that cut
-    // rows must replay the same in-order stream as the single chunk.
-    for schedule in [Schedule::Static, Schedule::StaticChunk(8)] {
-        let seen = Mutex::new(Vec::new());
+    for (nthreads, schedule) in [
+        (1, Schedule::Static),
+        (2, Schedule::Static),
+        (2, Schedule::StaticChunk(8)),
+    ] {
+        let pool = ThreadPool::new(nthreads);
+        let seen: Vec<Mutex<Vec<Instance>>> = (0..nthreads).map(|_| Mutex::default()).collect();
         collapsed
             .runner(&pool)
             .schedule(schedule)
-            .run_guarded(|_tid, p, pos| {
+            .run_guarded(|tid, p, pos| {
                 let mut local = Vec::new();
                 record(p, pos, &mut local);
-                seen.lock().unwrap().extend(local);
+                seen[tid].lock().unwrap().extend(local);
             });
-        assert_eq!(seen.into_inner().unwrap(), expect, "{schedule:?}");
+        for (tid, seen) in seen.into_iter().enumerate() {
+            let chunks: Vec<(u64, u64)> = match schedule {
+                Schedule::StaticChunk(chunk) => {
+                    Schedule::static_chunks(total, nthreads, tid, chunk).collect()
+                }
+                _ => vec![Schedule::static_block(total, nthreads, tid)],
+            };
+            let expect: Vec<Instance> = chunks
+                .into_iter()
+                .flat_map(|(s, e)| per_point[s as usize..e as usize].concat())
+                .collect();
+            assert_eq!(
+                seen.into_inner().unwrap(),
+                expect,
+                "{nthreads} threads, {schedule:?}, thread {tid}"
+            );
+        }
     }
+    // The whole stream on one thread is the reference itself.
+    assert_eq!(per_point.concat(), reference);
 }

@@ -323,7 +323,8 @@ impl ThreadPool {
     /// A one-thread pool has nothing to balance, so it runs every
     /// schedule as the single [`Schedule::Static`] block: `body(0, 0, n)`
     /// once (never for `n = 0`), and a caller that anchors per chunk
-    /// anchors once.
+    /// anchors once. [`Schedule::effective`] names the schedule that
+    /// runs.
     pub fn parallel_for(
         &self,
         n: u64,
@@ -331,11 +332,7 @@ impl ThreadPool {
         body: &(dyn Fn(usize, u64, u64) + Sync),
     ) -> ImbalanceReport {
         let nthreads = self.nthreads;
-        let schedule = if nthreads == 1 {
-            Schedule::Static
-        } else {
-            schedule
-        };
+        let schedule = schedule.effective(nthreads);
         let iter_counts: Vec<CachePadded<AtomicU64>> = (0..nthreads)
             .map(|_| CachePadded::new(AtomicU64::new(0)))
             .collect();

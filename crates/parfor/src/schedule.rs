@@ -8,7 +8,8 @@ use std::str::FromStr;
 ///
 /// The chunking only matters when there is more than one thread: on a
 /// one-thread pool [`ThreadPool::parallel_for`](crate::ThreadPool::parallel_for)
-/// runs every schedule as the single `Static` block.
+/// runs every schedule as the single `Static` block (see
+/// [`effective`](Schedule::effective)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Schedule {
     /// `schedule(static)`: split into `t` near-equal contiguous blocks,
@@ -54,6 +55,18 @@ impl Schedule {
             .map(move |k| first + k * stride)
             .take_while(move |&s| s < n)
             .map(move |s| (s, (s + chunk).min(n)))
+    }
+
+    /// The schedule [`ThreadPool::parallel_for`](crate::ThreadPool::parallel_for)
+    /// runs for this one on a pool of `nthreads` threads: itself, except
+    /// that a one-thread pool has nothing to balance and runs every
+    /// schedule as the single `Static` block.
+    pub fn effective(self, nthreads: usize) -> Schedule {
+        if nthreads == 1 {
+            Schedule::Static
+        } else {
+            self
+        }
     }
 
     /// Human-readable label matching OpenMP clause syntax.
@@ -172,6 +185,19 @@ mod tests {
         let t1: Vec<_> = Schedule::static_chunks(10, 2, 1, 2).collect();
         assert_eq!(t0, vec![(0, 2), (4, 6), (8, 10)]);
         assert_eq!(t1, vec![(2, 4), (6, 8)]);
+    }
+
+    #[test]
+    fn one_thread_runs_every_schedule_as_static() {
+        for schedule in [
+            Schedule::Static,
+            Schedule::StaticChunk(5),
+            Schedule::Dynamic(3),
+            Schedule::Guided(2),
+        ] {
+            assert_eq!(schedule.effective(1), Schedule::Static);
+            assert_eq!(schedule.effective(2), schedule);
+        }
     }
 
     #[test]

@@ -103,20 +103,34 @@ pub trait ServeReducer: Sync {
     fn join(&self, left: f64, right: f64) -> f64;
 }
 
-/// What a run request executes over the instantiated domain, as
-/// `dyn` references: [`CollapseService::submit_bound`](crate::CollapseService::submit_bound)
-/// runs it through the same execution path as the typed
-/// [`run`](crate::CollapseService::run)/[`reduce`](crate::CollapseService::reduce),
-/// with one virtual call per point.
-pub enum RunWork<'w> {
+/// What a run executes over the instantiated domain. Its type
+/// parameters default to the `dyn` types, which is what a
+/// [`RunRequest`] carries into
+/// [`CollapseService::submit_bound`](crate::CollapseService::submit_bound)
+/// (one virtual call per point); the typed
+/// [`run`](crate::CollapseService::run)/[`reduce`](crate::CollapseService::reduce)
+/// instantiate it at the caller's body and reducer types. Every verb
+/// runs it through the same execution path.
+pub enum RunWork<
+    'w,
+    F: ?Sized + 'w = dyn Fn(usize, &[i64]) + Sync + 'w,
+    R: ?Sized + 'w = dyn ServeReducer + 'w,
+> {
     /// A side-effecting loop body, invoked once per point.
-    Body(&'w (dyn Fn(usize, &[i64]) + Sync)),
+    Body(&'w F),
     /// A deterministic reduction; its value comes back in
     /// [`RunReply::reduced`].
-    Reduce(&'w dyn ServeReducer),
+    Reduce(&'w R),
 }
 
-impl fmt::Debug for RunWork<'_> {
+impl<F: ?Sized, R: ?Sized> RunWork<'_, F, R> {
+    /// Whether this is the reduction shape.
+    pub(crate) fn is_reduce(&self) -> bool {
+        matches!(self, RunWork::Reduce(_))
+    }
+}
+
+impl<F: ?Sized, R: ?Sized> fmt::Debug for RunWork<'_, F, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RunWork::Body(_) => write!(f, "RunWork::Body"),

@@ -119,21 +119,6 @@ impl<R: ServeReducer + ?Sized> Reducer<f64> for AsReducer<'_, R> {
     }
 }
 
-/// One execution's work, by type: [`CollapseService::run`] and
-/// [`CollapseService::reduce`] instantiate it at the caller's body and
-/// reducer types, [`CollapseService::submit_bound`] at the `dyn` types
-/// of [`RunWork`].
-enum Work<'w, F: ?Sized, R: ?Sized> {
-    Body(&'w F),
-    Reduce(&'w R),
-}
-
-impl<F: ?Sized, R: ?Sized> Work<'_, F, R> {
-    fn is_reduce(&self) -> bool {
-        matches!(self, Work::Reduce(_))
-    }
-}
-
 /// The FIFO line of admitted callers: tickets are handed out at
 /// admission and called one at a time, in order.
 #[derive(Default)]
@@ -238,7 +223,7 @@ impl CollapseService {
     where
         F: Fn(usize, &[i64]) + Sync + ?Sized,
     {
-        self.serve(request, Work::<F, dyn ServeReducer>::Body(body))
+        self.serve(request, RunWork::<F, dyn ServeReducer>::Body(body))
     }
 
     /// Reduction-shaped form of [`run`](Self::run): the reply's
@@ -250,7 +235,7 @@ impl CollapseService {
     {
         self.serve(
             request,
-            Work::<dyn Fn(usize, &[i64]) + Sync, R>::Reduce(reducer),
+            RunWork::<dyn Fn(usize, &[i64]) + Sync, R>::Reduce(reducer),
         )
     }
 
@@ -264,12 +249,8 @@ impl CollapseService {
         collapsed: &Collapsed,
         request: RunRequest<'_>,
     ) -> Result<RunReply, ServeError> {
-        let work = match request.work {
-            RunWork::Body(body) => Work::Body(body),
-            RunWork::Reduce(reducer) => Work::Reduce(reducer),
-        };
         let trace = TraceId::next().0;
-        let is_reduce = work.is_reduce();
+        let is_reduce = request.work.is_reduce();
         let _verb = span_traced("serve", verb_name(is_reduce), trace);
         let t_verb = now_ns();
         self.admit(request.tenant)?;
@@ -282,7 +263,7 @@ impl CollapseService {
             request.tenant,
             strategy,
             request.deadline,
-            work,
+            request.work,
             trace,
         )?;
         self.verb_hist(is_reduce)
@@ -370,7 +351,7 @@ impl CollapseService {
     fn serve<F, R>(
         &self,
         request: &CollapseRequest,
-        work: Work<'_, F, R>,
+        work: RunWork<'_, F, R>,
     ) -> Result<RunReply, ServeError>
     where
         F: Fn(usize, &[i64]) + Sync + ?Sized,
@@ -452,7 +433,7 @@ impl CollapseService {
         tenant: Tenant,
         strategy: Strategy,
         deadline: Option<Duration>,
-        work: Work<'_, F, R>,
+        work: RunWork<'_, F, R>,
         trace: u64,
     ) -> Result<RunReply, ServeError>
     where
@@ -482,8 +463,8 @@ impl CollapseService {
         let ran = {
             let _exec = span_traced("serve", "serve.exec", trace);
             catch_unwind(AssertUnwindSafe(|| match work {
-                Work::Body(body) => (runner.run(body).outcome, None),
-                Work::Reduce(reducer) => {
+                RunWork::Body(body) => (runner.run(body).outcome, None),
+                RunWork::Reduce(reducer) => {
                     let red = runner.reduce(&AsReducer(reducer));
                     (red.outcome, Some(red.value))
                 }
@@ -1008,7 +989,7 @@ mod tests {
         };
         fail_then_serve("typed run", service.run(&req, &panicky));
         fail_then_serve("dyn run", service.run(&req, dyn_panicky));
-        let work = RunWork::Body(&panicky);
+        let work: RunWork = RunWork::Body(&panicky);
         let reply = service.submit_bound(&collapsed, RunRequest::new(Tenant(30), work));
         fail_then_serve("submit_bound", reply);
         let (_, t) = service.metrics().tenants[0];
